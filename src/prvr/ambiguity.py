@@ -35,6 +35,18 @@ class Thresholds:
     epoch: int
 
 
+def _mask_rows(mask):
+    """Per-row index lists of a boolean matrix."""
+    return [list(np.nonzero(row)[0]) for row in mask]
+
+
+def _rows_mask(rows, width):
+    mask = np.zeros((len(rows), width), dtype=bool)
+    for r, cols in enumerate(rows):
+        mask[r, list(cols)] = True
+    return mask
+
+
 @dataclass
 class FrameSets:
     """Frame-level ambiguity for each positive pair of a batch.
@@ -43,6 +55,11 @@ class FrameSets:
     partition the remaining frames of the paired video. amb/neg queries
     partition the non-positive batch slots relative to the selected
     frame.
+
+    The losses read the same sets as boolean masks: frame masks are
+    (b, L_v) with [p, k] for frame k of pair p's video, query masks are
+    (b, b) with [p, x] for query slot x against pair p's selected frame.
+    Sets built from lists alone get their masks derived from the lists.
     """
 
     best_frame: np.ndarray
@@ -50,6 +67,20 @@ class FrameSets:
     neg_frames: list
     amb_queries: list
     neg_queries: list
+    amb_frame_mask: np.ndarray = field(default=None, repr=False)
+    neg_frame_mask: np.ndarray = field(default=None, repr=False)
+    amb_query_mask: np.ndarray = field(default=None, repr=False)
+    neg_query_mask: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.amb_frame_mask is None:
+            b = len(self.best_frame)
+            # amb, neg and the best frame partition the video's frames
+            l_v = 1 + len(self.amb_frames[0]) + len(self.neg_frames[0]) if b else 1
+            self.amb_frame_mask = _rows_mask(self.amb_frames, l_v)
+            self.neg_frame_mask = _rows_mask(self.neg_frames, l_v)
+            self.amb_query_mask = _rows_mask(self.amb_queries, b)
+            self.neg_query_mask = _rows_mask(self.neg_queries, b)
 
 
 @dataclass
@@ -152,32 +183,27 @@ def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,
     rule across batch slots against the selected frame.
     """
     frame_sims = np.asarray(frame_sims, dtype=np.float64)
-    b, _, l_v = frame_sims.shape
+    b = frame_sims.shape[0]
+    slots = np.arange(b)
     q_idx = np.asarray([q for q, _ in batch])
     v_idx = np.asarray([v for _, v in batch])
 
-    best = np.empty(b, dtype=np.int64)
-    amb_frames, neg_frames, amb_queries, neg_queries = [], [], [], []
-    for p in range(b):
-        f = frame_sims[p, p]
-        k_hat = int(np.argmax(f))
-        best[p] = k_hat
-        u_f = (tables.u_q[q_idx[p]] + tables.u_v[v_idx[p]]) / 2.0
-        frame_ok = (f > thresholds.tau_s) & (u_f > thresholds.tau_u)
-        frame_ok[k_hat] = False
-        a = np.nonzero(frame_ok)[0]
-        rest = np.setdiff1d(np.arange(l_v), np.append(a, k_hat))
-        amb_frames.append(list(a))
-        neg_frames.append(list(rest))
+    own = frame_sims[slots, slots]                       # (b, L_v): pair p's own video
+    best = np.argmax(own, axis=1)
+    u_f = (tables.u_q[q_idx][:, None] + tables.u_v[v_idx]) / 2.0
+    amb_f = (own > thresholds.tau_s) & (u_f > thresholds.tau_u)
+    amb_f[slots, best] = False
+    neg_f = ~amb_f
+    neg_f[slots, best] = False
 
-        g = frame_sims[:, p, k_hat]
-        u_q = (tables.u_q[q_idx] + tables.u_v[v_idx[p], k_hat]) / 2.0
-        pos_q = v_idx == v_idx[p]
-        q_ok = (~pos_q) & (g > thresholds.tau_s) & (u_q > thresholds.tau_u)
-        aq = np.nonzero(q_ok)[0]
-        nq = np.nonzero((~pos_q) & (~q_ok))[0]
-        amb_queries.append(list(aq))
-        neg_queries.append(list(nq))
+    sel = frame_sims[:, slots, best].T                   # [p, x]: query x at p's best frame
+    u_sel = (tables.u_q[q_idx][None, :] + tables.u_v[v_idx, best][:, None]) / 2.0
+    unpaired = v_idx[:, None] != v_idx[None, :]
+    amb_q = unpaired & (sel > thresholds.tau_s) & (u_sel > thresholds.tau_u)
+    neg_q = unpaired & ~amb_q
 
-    return FrameSets(best_frame=best, amb_frames=amb_frames, neg_frames=neg_frames,
-                     amb_queries=amb_queries, neg_queries=neg_queries)
+    return FrameSets(best_frame=best,
+                     amb_frames=_mask_rows(amb_f), neg_frames=_mask_rows(neg_f),
+                     amb_queries=_mask_rows(amb_q), neg_queries=_mask_rows(neg_q),
+                     amb_frame_mask=amb_f, neg_frame_mask=neg_f,
+                     amb_query_mask=amb_q, neg_query_mask=neg_q)

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-corpus, train, evaluate, audit, grad-check.
-Exit codes: 0 success, 2 usage, 3 config/format error, 4 numerical abort.
+Exit codes: 0 success, 2 usage, 3 config, format, dimension or I/O
+error, 4 numerical abort.
 Every command prints its fully resolved configuration so a run can be
 reproduced from the log alone.
 """
@@ -17,10 +18,10 @@ import numpy as np
 from .config import (apply_overrides, corpus_spec_from, parse_kv_file,
                      resolved_lines, train_config_from)
 from .corpus import generate_synthetic, read_corpus, write_corpus
-from .errors import ConfigError, FormatError, NumericalError
+from .errors import ConfigError, DimensionError, FormatError, NumericalError
 from .evaluation import audit, evaluate
 from .gradcheck import REL_TOL, run_suite
-from .trainer import checkpoint, resume, train
+from .trainer import check_corpus_dims, checkpoint, resume, train
 
 LOG_COLUMNS = ("epoch", "branch", "phase", "tau_s", "tau_u",
                "nce_t2v", "nce_v2t", "trip_a", "trip_n",
@@ -85,13 +86,20 @@ def cmd_train(args):
     return 0
 
 
-def cmd_evaluate(args):
+def _load_for_scoring(args):
+    """Checkpoint and corpus of evaluate/audit, checked against each other."""
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.corpus, "corpus file")
     state = resume(args.checkpoint)
     corpus = read_corpus(args.corpus)
+    check_corpus_dims(state, corpus)
     _print_resolved([f"checkpoint={args.checkpoint}", f"corpus={args.corpus}",
                      f"epoch={state.epoch}"])
+    return state, corpus
+
+
+def cmd_evaluate(args):
+    state, corpus = _load_for_scoring(args)
     report = evaluate(state, corpus)
     payload = {f"r{k}": report.r_at[k] for k in sorted(report.r_at)}
     payload["sumr"] = report.sum_r
@@ -103,12 +111,7 @@ def cmd_evaluate(args):
 
 
 def cmd_audit(args):
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.corpus, "corpus file")
-    state = resume(args.checkpoint)
-    corpus = read_corpus(args.corpus)
-    _print_resolved([f"checkpoint={args.checkpoint}", f"corpus={args.corpus}",
-                     f"epoch={state.epoch}"])
+    state, corpus = _load_for_scoring(args)
     report = audit(state, corpus)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -193,6 +196,12 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ConfigError, FormatError) as exc:
         print(f"prvr: config-error: {exc}", file=sys.stderr)
+        return 3
+    except DimensionError as exc:
+        print(f"prvr: dimension-error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"prvr: io-error: {exc}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"prvr: numerical-error: {exc}", file=sys.stderr)

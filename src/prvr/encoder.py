@@ -10,8 +10,10 @@ frame tokens. So a frame's embedding depends on its own neighbourhood of
 footage and not on the rest of the video: footage shared by two videos
 encodes alike in both, which is what max-over-frames scoring and the
 ambiguity detection compare. Everything runs in float64; forward
-functions accept plain ndarrays or autodiff Vars and are deterministic
-per instance.
+functions accept plain ndarrays or autodiff Vars, one instance or a
+stack of them along a leading batch axis. Every op works on the last two
+axes (batched matmul, per-row reductions), so an instance's output is
+bitwise the same alone or inside any batch.
 """
 
 import functools
@@ -148,13 +150,18 @@ def _band_mask(length, radius):
     return mask
 
 
+def _swap_last(x):
+    nd = np.ndim(ad.val(x))
+    return ad.transpose(x, tuple(range(nd - 2)) + (nd - 1, nd - 2))
+
+
 def _attention(tensors, x, prefix, d, qk_pos=None, mask=None):
     n = _layernorm(x, tensors[f"{prefix}_ln_g"], tensors[f"{prefix}_ln_b"])
     qk = n if qk_pos is None else ad.add(n, qk_pos)
     q = ad.matmul(qk, tensors[f"{prefix}_wq"])
     k = ad.matmul(qk, tensors[f"{prefix}_wk"])
     v = ad.matmul(n, tensors[f"{prefix}_wv"])
-    scores = ad.div(ad.matmul(q, ad.transpose(k, (1, 0))), np.sqrt(float(d)))
+    scores = ad.div(ad.matmul(q, _swap_last(k)), np.sqrt(float(d)))
     if mask is not None:
         scores = ad.add(scores, mask)
     attn = ad.softmax(scores, axis=-1)
@@ -170,9 +177,14 @@ def _encode_tokens(tensors, x, side, dims):
                       mask=_band_mask(dims.l_v, VIDEO_ATTN_RADIUS))
 
 
-def _check_shape(x, expected, what):
-    if np.shape(x) != expected:
-        raise DimensionError(f"{what}: expected shape {expected}, got {np.shape(x)}")
+def _as_input(x, tokens, what):
+    """float64 input of shape (tokens) or (b, *tokens); other shapes raise."""
+    if not isinstance(x, ad.Var):
+        x = np.asarray(x, dtype=np.float64)
+    shape = np.shape(ad.val(x))
+    if len(shape) not in (2, 3) or shape[-2:] != tokens:
+        raise DimensionError(f"{what}: expected shape {tokens} or (b, *{tokens}), got {shape}")
+    return x
 
 
 def _resolve(params, dims):
@@ -184,26 +196,25 @@ def _resolve(params, dims):
 
 
 def encode_text(params, word_features, dims: EncoderDims = None):
-    """Encode one query's word features (L_q, d_t) into a vector (d,).
+    """Encode word features (L_q, d_t) into a vector (d,), or a batch
+    (b, L_q, d_t) into (b, d).
 
     params may be an EncoderParams or a dict of autodiff Vars (training).
     """
     tensors, dims = _resolve(params, dims)
-    x = word_features if isinstance(word_features, ad.Var) \
-        else np.asarray(word_features, dtype=np.float64)
-    _check_shape(ad.val(x), (dims.l_q, dims.d_t), "word_features")
+    x = _as_input(word_features, (dims.l_q, dims.d_t), "word_features")
     h = _encode_tokens(tensors, x, "text", dims)
     scores = ad.add(ad.reduce_sum(ad.mul(h, tensors["pool_w"]), axis=-1), tensors["pool_b"])
     alpha = ad.softmax(scores, axis=-1)
-    return ad.reduce_sum(ad.mul(ad.reshape(alpha, (dims.l_q, 1)), h), axis=0)
+    alpha = ad.reshape(alpha, np.shape(ad.val(alpha)) + (1,))
+    return ad.reduce_sum(ad.mul(alpha, h), axis=-2)
 
 
 def encode_video(params, frame_features, dims: EncoderDims = None):
-    """Encode one video's frame features (L_v, d_v) into (L_v, d)."""
+    """Encode frame features (L_v, d_v) into (L_v, d), or a batch
+    (b, L_v, d_v) into (b, L_v, d)."""
     tensors, dims = _resolve(params, dims)
-    x = frame_features if isinstance(frame_features, ad.Var) \
-        else np.asarray(frame_features, dtype=np.float64)
-    _check_shape(ad.val(x), (dims.l_v, dims.d_v), "frame_features")
+    x = _as_input(frame_features, (dims.l_v, dims.d_v), "frame_features")
     return _encode_tokens(tensors, x, "video", dims)
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .ambiguity import compute_uncertainty
 from .corpus import FeatureCorpus
 from .encoder import encode_text, encode_video
 from .errors import ConfigError
@@ -63,9 +64,8 @@ def _branch_scores(state: DualBranchState, corpus: FeatureCorpus):
     for branch in (state.theta, state.phi):
         sim_map = build_corpus_map(branch.params, corpus, epoch=state.epoch)
         scores, best = map_retrieval_scores(sim_map)
-        u_q = sim_map.m.mean(axis=(1, 2))
-        u_v = sim_map.m.mean(axis=0)
-        u = (u_q[:, None] + u_v[np.arange(corpus.n_v)[None, :], best]) / 2.0
+        tables = compute_uncertainty(sim_map)
+        u = (tables.u_q[:, None] + tables.u_v[np.arange(corpus.n_v)[None, :], best]) / 2.0
         out.append((scores, best, u))
     return out
 

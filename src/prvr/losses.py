@@ -66,6 +66,14 @@ def _scalar(x):
     return float(np.asarray(ad.val(x)))
 
 
+def _contrast(e_pos, e, amb, neg, axis):
+    """log(den) - log(num) per anchor: num keeps the positive plus the
+    ambiguous members of `e` along `axis`, den adds the negatives."""
+    num = ad.add(e_pos, ad.reduce_sum(ad.mul(e, amb), axis=axis))
+    den = ad.add(num, ad.reduce_sum(ad.mul(e, neg), axis=axis))
+    return ad.sub(ad.log(den), ad.log(num))
+
+
 def _nce_vectors(scores, sets: AmbiguitySets, temperature):
     """Per-slot contrastive losses for both directions, as (b,) vectors."""
     b = len(sets.batch)
@@ -74,15 +82,8 @@ def _nce_vectors(scores, sets: AmbiguitySets, temperature):
     diag = ad.take(flat, np.arange(b) * (b + 1))
     amb_mask = sets.amb.astype(np.float64)
     neg_mask = ((~sets.pos) & (~sets.amb)).astype(np.float64)
-
-    num_r = ad.add(diag, ad.reduce_sum(ad.mul(e, amb_mask), axis=1))
-    den_r = ad.add(num_r, ad.reduce_sum(ad.mul(e, neg_mask), axis=1))
-    t2v = ad.sub(ad.log(den_r), ad.log(num_r))
-
-    num_c = ad.add(diag, ad.reduce_sum(ad.mul(e, amb_mask), axis=0))
-    den_c = ad.add(num_c, ad.reduce_sum(ad.mul(e, neg_mask), axis=0))
-    v2t = ad.sub(ad.log(den_c), ad.log(num_c))
-    return t2v, v2t
+    return (_contrast(diag, e, amb_mask, neg_mask, axis=1),
+            _contrast(diag, e, amb_mask, neg_mask, axis=0))
 
 
 def loss_nce_t2v(pair_slot, scores, sets: AmbiguitySets, temperature=1.0):
@@ -105,6 +106,21 @@ def loss_nce(scores, sets: AmbiguitySets, temperature=1.0):
     return ad.reduce_mean(t2v), ad.reduce_mean(v2t)
 
 
+def _hardest(values, mask):
+    """Per row, the column of the largest masked entry (lowest on ties)
+    and whether the row has any masked entry."""
+    return np.argmax(np.where(mask, values, -np.inf), axis=1), mask.any(axis=1)
+
+
+def _hinge_mean(flat, hard_idx, anchor_idx, margin, b):
+    """sum(relu(flat[hard] - flat[anchor] + margin)) / b over index pairs;
+    no pairs give an exact zero."""
+    if len(hard_idx) == 0:
+        return 0.0
+    gap = ad.sub(ad.take(flat, hard_idx), ad.take(flat, anchor_idx))
+    return ad.div(ad.reduce_sum(ad.relu(ad.add(gap, float(margin)))), float(b))
+
+
 def loss_triplet(scores, sets: AmbiguitySets, margin, mode):
     """Hinge loss against the hardest member of the given contrast sets.
 
@@ -121,25 +137,13 @@ def loss_triplet(scores, sets: AmbiguitySets, margin, mode):
         raise ConfigError(f"unknown triplet mode {mode!r}")
     b = len(sets.batch)
     sv = np.asarray(ad.val(scores), dtype=np.float64)
-    flat = ad.reshape(scores, (b * b,))
-
-    sel_idx, pos_idx = [], []
-    for p in range(b):
-        row = np.nonzero(mask[p])[0]
-        if row.size:
-            j_star = row[np.argmax(sv[p, row])]
-            sel_idx.append(p * b + j_star)
-            pos_idx.append(p * (b + 1))
-        col = np.nonzero(mask[:, p])[0]
-        if col.size:
-            i_star = col[np.argmax(sv[col, p])]
-            sel_idx.append(i_star * b + p)
-            pos_idx.append(p * (b + 1))
-    if not sel_idx:
-        return 0.0
-    hinges = ad.relu(ad.add(ad.sub(ad.take(flat, sel_idx), ad.take(flat, pos_idx)),
-                            float(margin)))
-    return ad.div(ad.reduce_sum(hinges), float(b))
+    slots = np.arange(b)
+    video, row_ok = _hardest(sv, mask)          # hardest contrast video per query slot
+    query, col_ok = _hardest(sv.T, mask.T)      # hardest contrast query per video slot
+    valid = np.concatenate([row_ok, col_ok])
+    hard = np.concatenate([slots * b + video, query * b + slots])[valid]
+    anchor = np.tile(slots * (b + 1), 2)[valid]
+    return _hinge_mean(ad.reshape(scores, (b * b,)), hard, anchor, margin, b)
 
 
 def loss_video(scores, sets: AmbiguitySets, cfg: LossConfig):
@@ -152,78 +156,51 @@ def loss_video(scores, sets: AmbiguitySets, cfg: LossConfig):
             "trip_a": trip_a, "trip_n": trip_n, "total": total}
 
 
-def _gather_scalar(flat, idx):
-    return ad.reshape(ad.take(flat, [idx]), ())
-
-
-def _gather_sum(flat, idxs):
-    if len(idxs) == 0:
-        return 0.0
-    return ad.reduce_sum(ad.take(flat, list(idxs)))
-
-
 def loss_frame(frame_sims, frames: FrameSets, cfg: LossConfig):
     """Frame-level objective over a (b, b, L_v) cosine tensor.
 
-    Returns zeros when L_v == 1: a single frame is the whole video, so
-    the frame level would only duplicate the video objective.
+    Per pair p the anchor is its best frame k^; the frames of p's video
+    contrast against it (text -> frames) and so do the batch queries at
+    frame k^ (frame -> text). Returns zeros when L_v == 1: a single frame
+    is the whole video, so the frame level would only duplicate the video
+    objective.
     """
-    shape = np.shape(ad.val(frame_sims))
-    b, l_v = shape[0], shape[2]
+    b, _, l_v = np.shape(ad.val(frame_sims))
     if l_v == 1:
         return {"nce": 0.0, "trip_a": 0.0, "trip_n": 0.0, "total": 0.0}
 
+    slots = np.arange(b)
+    k_hat = np.asarray(frames.best_frame)
     flat = ad.reshape(frame_sims, (b * b * l_v,))
-    e_flat = ad.exp(ad.div(flat, float(cfg.temperature)))
-    fv = np.asarray(ad.val(frame_sims), dtype=np.float64)
+    # flat positions of own[p, k] = sims[p, p, k], sel[p, x] = sims[x, p, k^_p]
+    # and the anchor sims[p, p, k^_p]
+    own_idx = (slots * (b + 1) * l_v)[:, None] + np.arange(l_v)
+    sel_idx = (slots[None, :] * b + slots[:, None]) * l_v + k_hat[:, None]
+    anchor_idx = slots * (b + 1) * l_v + k_hat
 
-    def fidx(x, p, k):
-        return (x * b + p) * l_v + k
+    def exp_t(idx):
+        return ad.exp(ad.div(ad.take(flat, idx), float(cfg.temperature)))
 
-    nce_sum, trip_a_terms, trip_n_terms = 0.0, [], []
-    sel_a, base_a, sel_n, base_n = [], [], [], []
-    for p in range(b):
-        k_hat = int(frames.best_frame[p])
-        anchor = fidx(p, p, k_hat)
-        e_anchor = _gather_scalar(e_flat, anchor)
+    amb_f, neg_f = frames.amb_frame_mask, frames.neg_frame_mask
+    amb_q, neg_q = frames.amb_query_mask, frames.neg_query_mask
+    e_anchor = exp_t(anchor_idx)
+    nce = ad.add(
+        _contrast(e_anchor, exp_t(own_idx), amb_f.astype(np.float64), neg_f.astype(np.float64), 1),
+        _contrast(e_anchor, exp_t(sel_idx), amb_q.astype(np.float64), neg_q.astype(np.float64), 1))
+    nce = ad.div(ad.reduce_sum(nce), float(b))
 
-        # text -> frames within the paired video
-        amb_f = [fidx(p, p, k) for k in frames.amb_frames[p]]
-        neg_f = [fidx(p, p, k) for k in frames.neg_frames[p]]
-        num = ad.add(e_anchor, _gather_sum(e_flat, amb_f))
-        den = ad.add(num, _gather_sum(e_flat, neg_f))
-        nce_sum = ad.add(nce_sum, ad.sub(ad.log(den), ad.log(num)))
+    fv = np.asarray(ad.val(frame_sims), dtype=np.float64).reshape(-1)
+    own_v, sel_v = fv[own_idx], fv[sel_idx]
 
-        # selected frame -> batch queries
-        amb_q = [fidx(x, p, k_hat) for x in frames.amb_queries[p]]
-        neg_q = [fidx(x, p, k_hat) for x in frames.neg_queries[p]]
-        num_q = ad.add(e_anchor, _gather_sum(e_flat, amb_q))
-        den_q = ad.add(num_q, _gather_sum(e_flat, neg_q))
-        nce_sum = ad.add(nce_sum, ad.sub(ad.log(den_q), ad.log(num_q)))
+    def triplet(mask_f, mask_q, margin):
+        k_star, f_ok = _hardest(own_v, mask_f)
+        x_star, q_ok = _hardest(sel_v, mask_q)
+        valid = np.concatenate([f_ok, q_ok])
+        hard = np.concatenate([own_idx[slots, k_star], sel_idx[slots, x_star]])[valid]
+        return _hinge_mean(flat, hard, np.tile(anchor_idx, 2)[valid], margin, b)
 
-        # hardest-in-set triplets, both directions
-        for idxs, sel, base in ((frames.amb_frames[p], sel_a, base_a),
-                                (frames.neg_frames[p], sel_n, base_n)):
-            if idxs:
-                k_star = idxs[int(np.argmax(fv[p, p, idxs]))]
-                sel.append(fidx(p, p, k_star))
-                base.append(anchor)
-        for idxs, sel, base in ((frames.amb_queries[p], sel_a, base_a),
-                                (frames.neg_queries[p], sel_n, base_n)):
-            if idxs:
-                x_star = idxs[int(np.argmax(fv[idxs, p, frames.best_frame[p]]))]
-                sel.append(fidx(x_star, p, k_hat))
-                base.append(anchor)
-
-    def hinge_total(sel, base, margin):
-        if not sel:
-            return 0.0
-        h = ad.relu(ad.add(ad.sub(ad.take(flat, sel), ad.take(flat, base)), float(margin)))
-        return ad.div(ad.reduce_sum(h), float(b))
-
-    nce = ad.div(nce_sum, float(b))
-    trip_a = hinge_total(sel_a, base_a, cfg.margin_ma)
-    trip_n = hinge_total(sel_n, base_n, cfg.margin_m)
+    trip_a = triplet(amb_f, amb_q, cfg.margin_ma)
+    trip_n = triplet(neg_f, neg_q, cfg.margin_m)
     total = ad.add(ad.add(ad.mul(nce, cfg.lambda_nce), trip_a), trip_n)
     return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
 

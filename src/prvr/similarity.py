@@ -60,6 +60,23 @@ def cosine_rows(q, v_frames):
     return ((q / qn) * (f / fn)).sum(axis=-1)
 
 
+def _unit_dots(qu, fu):
+    """Dots (n, m, L) between unit queries (n, d) and unit frames (m, L, d).
+
+    The forward is the elementwise multiply-and-sum kernel; the backward
+    contracts the output gradient against the other operand with einsum
+    instead of materializing the (n, m, L, d) product.
+    """
+    qv, fv = ad.val(qu), ad.val(fu)
+    out = (qv[:, None, None, :] * fv[None]).sum(axis=-1)
+    parents = []
+    if isinstance(qu, ad.Var):
+        parents.append((qu, lambda g: np.einsum("xyk,ykd->xd", g, fv, optimize=False)))
+    if isinstance(fu, ad.Var):
+        parents.append((fu, lambda g: np.einsum("xyk,xd->ykd", g, qv, optimize=False)))
+    return ad.Var(out, tuple(parents)) if parents else out
+
+
 def cosine_pairs(q_emb, frame_emb):
     """All-pairs cosine tensor between queries (n, d) and frames (m, L, d).
 
@@ -67,32 +84,22 @@ def cosine_pairs(q_emb, frame_emb):
     zero embedding (zero outputs are measure-zero under the init scheme;
     no epsilon is added so gradient checks stay exact).
     """
-    qv, fv = ad.val(q_emb), ad.val(frame_emb)
-    n, d = qv.shape
-    m, l_v, _ = fv.shape
     qn = _norms(q_emb, axis=-1)
     fn = _norms(frame_emb, axis=-1)
     if np.any(ad.val(qn) == 0.0) or np.any(ad.val(fn) == 0.0):
         raise NumericalError("zero-norm embedding encountered in cosine kernel")
-    qu = ad.reshape(ad.div(q_emb, qn), (n, 1, 1, d))
-    fu = ad.reshape(ad.div(frame_emb, fn), (1, m, l_v, d))
-    return ad.reduce_sum(ad.mul(qu, fu), axis=-1)
+    return _unit_dots(ad.div(q_emb, qn), ad.div(frame_emb, fn))
 
 
 def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
     """Recompute the full N_q x N_v x L_v cosine map for given params.
 
-    Encoding is per instance and the cosine kernel matches
+    Each modality is encoded in one batched call, which is bitwise equal
+    to per-instance encoding, and the cosine kernel matches
     frame_similarity entry for entry (tolerance 0).
     """
-    q_emb = np.stack([
-        ad.val(encode_text(params, corpus.text_features[i]))
-        for i in range(corpus.n_q)
-    ])
-    f_emb = np.stack([
-        ad.val(encode_video(params, corpus.video_features[j]))
-        for j in range(corpus.n_v)
-    ])
+    q_emb = encode_text(params, corpus.text_features)
+    f_emb = encode_video(params, corpus.video_features)
     fn = np.sqrt((f_emb * f_emb).sum(axis=-1, keepdims=True))
     qn = np.sqrt((q_emb * q_emb).sum(axis=-1, keepdims=True))
     if np.any(fn == 0.0) or np.any(qn == 0.0):

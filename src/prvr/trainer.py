@@ -23,7 +23,7 @@ from .ambiguity import (compute_thresholds, compute_uncertainty,
                         detect_frame_ambiguity, detect_video_ambiguity)
 from .corpus import FeatureCorpus
 from .encoder import EncoderDims, EncoderParams, collect_tape, encode_text, encode_video, wrap_params
-from .errors import ConfigError, FormatError, NumericalError
+from .errors import ConfigError, DimensionError, FormatError, NumericalError
 from .losses import (LossConfig, breakdown, forced_negative_sets, grand_total,
                      loss_frame, loss_video, loss_warmup)
 from .similarity import build_corpus_map, cosine_pairs
@@ -120,10 +120,25 @@ def init_state(corpus: FeatureCorpus, cfg: TrainConfig,
                            epoch=0, seed=cfg.seed, cfg=cfg)
 
 
-def _forward_batch(params_or_wrapped, dims, text64, video64, pairs):
-    """Traced batch forward: returns (frame cosine tensor Var, score Var, best)."""
-    q = ad.stack([encode_text(params_or_wrapped, text64[i], dims) for i, _ in pairs])
-    v = ad.stack([encode_video(params_or_wrapped, video64[j], dims) for _, j in pairs])
+def check_corpus_dims(state: DualBranchState, corpus: FeatureCorpus) -> None:
+    """Raise DimensionError unless the corpus has the encoders' input shapes."""
+    dims = state.theta.params.dims
+    want = (dims.d_t, dims.d_v, dims.l_q, dims.l_v)
+    got = (corpus.d_t, corpus.d_v, corpus.l_q, corpus.l_v)
+    if got != want:
+        raise DimensionError(f"corpus (d_t, d_v, l_q, l_v) = {got} does not match "
+                             f"the encoders' {want}")
+
+
+def _forward_batch(params_or_wrapped, dims, text, video, pairs):
+    """Batch forward: returns (frame cosine tensor, scores, best frames).
+
+    text/video are whole feature arrays; only the rows of the batch are
+    gathered (the encoders cast them to float64), and each side is
+    encoded in one call.
+    """
+    q = encode_text(params_or_wrapped, text[[i for i, _ in pairs]], dims)
+    v = encode_video(params_or_wrapped, video[[j for _, j in pairs]], dims)
     frame_sims = cosine_pairs(q, v)
     scores, best = ad.reduce_max(frame_sims, axis=2)
     return frame_sims, scores, best
@@ -152,11 +167,9 @@ def step(corpus: FeatureCorpus, pairs, sets, branch: BranchState, cfg: TrainConf
     frame objective. Returns (LossBreakdown, GradientTape); the branch's
     parameters are updated in place.
     """
-    dims = branch.params.dims
-    text64 = corpus.text_features.astype(np.float64)
-    video64 = corpus.video_features.astype(np.float64)
     wrapped = wrap_params(branch.params)
-    frame_sims, scores, _ = _forward_batch(wrapped, dims, text64, video64, pairs)
+    frame_sims, scores, _ = _forward_batch(wrapped, branch.params.dims, corpus.text_features,
+                                           corpus.video_features, pairs)
     video_sets, frame_sets = sets
     video_parts = loss_video(scores, video_sets, cfg.loss)
     if frame_sets is not None:
@@ -195,12 +208,9 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
         raise ConfigError(
             f"batch_size {cfg.batch_size} exceeds corpus size {corpus.n_q}")
 
+    check_corpus_dims(state, corpus)
     dims = state.theta.params.dims
-    if (dims.d_t, dims.d_v, dims.l_q, dims.l_v) != (corpus.d_t, corpus.d_v, corpus.l_q, corpus.l_v):
-        raise ConfigError("corpus dimensions do not match the encoder state")
 
-    text64 = corpus.text_features.astype(np.float64)
-    video64 = corpus.video_features.astype(np.float64)
     branches = (state.theta, state.phi)
     log_rows = []
 
@@ -229,7 +239,8 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
             fwd, detected = [], []
             for branch, ctx in zip(branches, epoch_ctx):
                 wrapped = wrap_params(branch.params)
-                frame_sims, scores, best = _forward_batch(wrapped, dims, text64, video64, pairs)
+                frame_sims, scores, best = _forward_batch(wrapped, dims, corpus.text_features,
+                                                         corpus.video_features, pairs)
                 fwd.append((wrapped, frame_sims, scores))
                 if lad_active:
                     sval = np.asarray(ad.val(scores))

@@ -85,3 +85,111 @@ def direct_uncertainty(m):
         for y in range(n_v)
     ])
     return u_q, u_v
+
+
+# --- per-pair loop losses ------------------------------------------------
+# The library computes these over boolean masks; the loops below walk the
+# index lists of the sets one pair at a time, gathering one scalar per set
+# member, and build the same autodiff graph values so gradients compare too.
+
+def loop_loss_triplet(scores, sets, margin, mode):
+    """Triplet hinge against the hardest set member, one pair at a time."""
+    from prvr import autodiff as ad
+
+    if mode == "ambiguous":
+        mask = sets.amb
+    else:
+        mask = (~sets.pos) & (~sets.amb)
+    b = len(sets.batch)
+    sv = np.asarray(ad.val(scores), dtype=np.float64)
+    flat = ad.reshape(scores, (b * b,))
+
+    sel_idx, pos_idx = [], []
+    for p in range(b):
+        row = np.nonzero(mask[p])[0]
+        if row.size:
+            j_star = row[np.argmax(sv[p, row])]
+            sel_idx.append(p * b + j_star)
+            pos_idx.append(p * (b + 1))
+        col = np.nonzero(mask[:, p])[0]
+        if col.size:
+            i_star = col[np.argmax(sv[col, p])]
+            sel_idx.append(i_star * b + p)
+            pos_idx.append(p * (b + 1))
+    if not sel_idx:
+        return 0.0
+    hinges = ad.relu(ad.add(ad.sub(ad.take(flat, sel_idx), ad.take(flat, pos_idx)),
+                            float(margin)))
+    return ad.div(ad.reduce_sum(hinges), float(b))
+
+
+def loop_loss_frame(frame_sims, frames, cfg):
+    """Frame-level objective from the index lists of FrameSets, pair by pair."""
+    from prvr import autodiff as ad
+
+    def gather_scalar(flat, idx):
+        return ad.reshape(ad.take(flat, [idx]), ())
+
+    def gather_sum(flat, idxs):
+        if len(idxs) == 0:
+            return 0.0
+        return ad.reduce_sum(ad.take(flat, list(idxs)))
+
+    shape = np.shape(ad.val(frame_sims))
+    b, l_v = shape[0], shape[2]
+    if l_v == 1:
+        return {"nce": 0.0, "trip_a": 0.0, "trip_n": 0.0, "total": 0.0}
+
+    flat = ad.reshape(frame_sims, (b * b * l_v,))
+    e_flat = ad.exp(ad.div(flat, float(cfg.temperature)))
+    fv = np.asarray(ad.val(frame_sims), dtype=np.float64)
+
+    def fidx(x, p, k):
+        return (x * b + p) * l_v + k
+
+    nce_sum = 0.0
+    sel_a, base_a, sel_n, base_n = [], [], [], []
+    for p in range(b):
+        k_hat = int(frames.best_frame[p])
+        anchor = fidx(p, p, k_hat)
+        e_anchor = gather_scalar(e_flat, anchor)
+
+        # text -> frames within the paired video
+        amb_f = [fidx(p, p, k) for k in frames.amb_frames[p]]
+        neg_f = [fidx(p, p, k) for k in frames.neg_frames[p]]
+        num = ad.add(e_anchor, gather_sum(e_flat, amb_f))
+        den = ad.add(num, gather_sum(e_flat, neg_f))
+        nce_sum = ad.add(nce_sum, ad.sub(ad.log(den), ad.log(num)))
+
+        # selected frame -> batch queries
+        amb_q = [fidx(x, p, k_hat) for x in frames.amb_queries[p]]
+        neg_q = [fidx(x, p, k_hat) for x in frames.neg_queries[p]]
+        num_q = ad.add(e_anchor, gather_sum(e_flat, amb_q))
+        den_q = ad.add(num_q, gather_sum(e_flat, neg_q))
+        nce_sum = ad.add(nce_sum, ad.sub(ad.log(den_q), ad.log(num_q)))
+
+        # hardest-in-set triplets, both directions
+        for idxs, sel, base in ((frames.amb_frames[p], sel_a, base_a),
+                                (frames.neg_frames[p], sel_n, base_n)):
+            if idxs:
+                k_star = idxs[int(np.argmax(fv[p, p, idxs]))]
+                sel.append(fidx(p, p, k_star))
+                base.append(anchor)
+        for idxs, sel, base in ((frames.amb_queries[p], sel_a, base_a),
+                                (frames.neg_queries[p], sel_n, base_n)):
+            if idxs:
+                x_star = idxs[int(np.argmax(fv[idxs, p, frames.best_frame[p]]))]
+                sel.append(fidx(x_star, p, k_hat))
+                base.append(anchor)
+
+    def hinge_total(sel, base, margin):
+        if not sel:
+            return 0.0
+        h = ad.relu(ad.add(ad.sub(ad.take(flat, sel), ad.take(flat, base)), float(margin)))
+        return ad.div(ad.reduce_sum(h), float(b))
+
+    nce = ad.div(nce_sum, float(b))
+    trip_a = hinge_total(sel_a, base_a, cfg.margin_ma)
+    trip_n = hinge_total(sel_n, base_n, cfg.margin_m)
+    total = ad.add(ad.add(ad.mul(nce, cfg.lambda_nce), trip_a), trip_n)
+    return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}

@@ -151,3 +151,43 @@ def test_training_log_columns(tmp_path, spec_file, train_file):
     for line in warm:
         cells = line.split(",")
         assert cells[3] == "" and cells[4] == ""
+
+
+def _checkpoint_and_corpus(tmp_path, spec_file, train_file, corpus_overrides=()):
+    """An untrained checkpoint for the spec's dims, and a corpus of the spec."""
+    from prvr.config import parse_kv_file, train_config_from
+    from prvr.trainer import checkpoint, init_state
+
+    corpus_path = str(tmp_path / "c.prvc")
+    argv = ["gen-corpus", "--spec", spec_file, "--out", corpus_path]
+    for kv in corpus_overrides:
+        argv += ["--set", kv]
+    assert main(argv) == 0
+    dims_path = str(tmp_path / "dims.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", dims_path]) == 0
+    state = init_state(read_corpus(dims_path), train_config_from(parse_kv_file(train_file)))
+    ckpt = str(tmp_path / "model.ckpt")
+    checkpoint(state, ckpt)
+    return ckpt, corpus_path
+
+
+@pytest.mark.parametrize("command", ("evaluate", "audit"))
+def test_corpus_dims_mismatch_exits_3(tmp_path, spec_file, train_file, capsys, command):
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file, ["d_t=5"])
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main([command, "--checkpoint", ckpt, "--corpus", corpus_path,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: dimension-error:")
+    assert not out.exists()
+
+
+def test_unwritable_out_exits_3(tmp_path, spec_file, train_file, capsys):
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    capsys.readouterr()
+    out = tmp_path / "missing-dir" / "report.json"
+    assert main(["evaluate", "--checkpoint", ckpt, "--corpus", corpus_path,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: io-error:")

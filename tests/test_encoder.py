@@ -161,3 +161,58 @@ def test_initialization_seeded_and_bounded(tiny_dims):
 def test_end_to_end_gradcheck_small():
     from prvr.gradcheck import check_instance
     assert check_instance(321) < 1e-4
+
+
+BATCH_DIMS = (EncoderDims(d_t=5, d_v=6, l_q=3, l_v=4, d=7),
+              EncoderDims(d_t=32, d_v=32, l_q=6, l_v=16, d=48),
+              EncoderDims(d_t=3, d_v=2, l_q=1, l_v=1, d=4))
+
+
+@pytest.mark.parametrize("dims", BATCH_DIMS)
+@pytest.mark.parametrize("b", (1, 3))
+def test_batched_forward_bitwise_equals_per_instance(dims, b):
+    params = EncoderParams.initialize(dims, seed=21)
+    rng = np.random.default_rng(b)
+    words = rng.normal(size=(b, dims.l_q, dims.d_t)).astype(np.float32)
+    frames = rng.normal(size=(b, dims.l_v, dims.d_v)).astype(np.float32)
+    q = encode_text(params, words)
+    v = encode_video(params, frames)
+    assert q.shape == (b, dims.d) and v.shape == (b, dims.l_v, dims.d)
+    np.testing.assert_array_equal(q, np.stack([encode_text(params, w) for w in words]))
+    np.testing.assert_array_equal(v, np.stack([encode_video(params, f) for f in frames]))
+
+
+def test_batched_shape_errors(tiny_params, tiny_dims):
+    d = tiny_dims
+    for bad in ((2, d.l_q, d.d_t + 1), (2, d.l_q + 1, d.d_t), (d.d_t,), (1, 2, d.l_q, d.d_t)):
+        with pytest.raises(DimensionError):
+            encode_text(tiny_params, np.zeros(bad))
+    for bad in ((2, d.l_v, d.d_v - 1), (2, d.l_v - 1, d.d_v), (d.d_v,), (1, 1, d.l_v, d.d_v)):
+        with pytest.raises(DimensionError):
+            encode_video(tiny_params, np.zeros(bad))
+
+
+def test_batched_gradients_equal_summed_per_instance_gradients(tiny_params, tiny_dims):
+    rng = np.random.default_rng(7)
+    b = 3
+    words = rng.normal(size=(b, tiny_dims.l_q, tiny_dims.d_t))
+    frames = rng.normal(size=(b, tiny_dims.l_v, tiny_dims.d_v))
+    w_q = rng.normal(size=(b, tiny_dims.d))
+    w_v = rng.normal(size=(b, tiny_dims.l_v, tiny_dims.d))
+
+    def objective(q, v, i=slice(None)):
+        return ad.add(ad.reduce_sum(ad.mul(q, w_q[i])), ad.reduce_sum(ad.mul(v, w_v[i])))
+
+    wrapped = wrap_params(tiny_params)
+    batched = collect_tape(wrapped, objective(encode_text(wrapped, words, tiny_dims),
+                                              encode_video(wrapped, frames, tiny_dims)))
+    summed = {name: np.zeros_like(g) for name, g in batched.grads.items()}
+    for i in range(b):
+        wrapped = wrap_params(tiny_params)
+        tape = collect_tape(wrapped, objective(encode_text(wrapped, words[i], tiny_dims),
+                                               encode_video(wrapped, frames[i], tiny_dims), i))
+        for name, g in tape.grads.items():
+            summed[name] += g
+    for name, g in batched.grads.items():
+        assert np.abs(g).max() > 0, name
+        np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12, err_msg=name)

@@ -35,7 +35,7 @@ def distinct_batch(b):
     return [(i, i) for i in range(b)]
 
 
-from tests.oracles import reference_single_positive
+from tests.oracles import loop_loss_frame, loop_loss_triplet, reference_single_positive
 
 
 def test_uniform_similarities_batch_of_four():
@@ -358,3 +358,81 @@ def test_duplicate_videos_in_batch_are_masked_as_positives():
     # contrastive for pair 0 only contrasts against video slot 2
     want = -math.log(math.exp(0.9) / (math.exp(0.9) + math.exp(0.1)))
     assert loss_nce_t2v(0, scores, sets) == pytest.approx(want, abs=1e-12)
+
+
+# --- mask losses against the per-pair loop oracles ---------------------------
+
+def _value_and_grad(parts_or_loss, x):
+    """Scalar value of a loss (Var or plain zero) and its gradient wrt Var x."""
+    if isinstance(parts_or_loss, ad.Var):
+        return float(parts_or_loss.value), ad.backward(parts_or_loss).get(
+            id(x), np.zeros_like(x.value))
+    return float(np.asarray(parts_or_loss)), np.zeros_like(x.value)
+
+
+# threshold regimes: mixed sets, everything ambiguous (empty negative sets),
+# nothing ambiguous (all-negative batch)
+_REGIMES = ("median", "all_ambiguous", "all_negative")
+
+
+def _random_frame_case(rng, regime, l_v=None):
+    b = int(rng.integers(2, 7))
+    l_v = int(rng.integers(1, 6)) if l_v is None else l_v
+    n_v = int(rng.integers(2, 2 * b))      # small n_v repeats videos in a batch
+    batch = [(x, int(rng.integers(n_v))) for x in range(b)]
+    frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
+    tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=b),
+                               u_v=rng.uniform(-1, 1, size=(n_v, l_v)), epoch=0)
+    tau = {"median": (float(np.median(frame_sims)), 0.0),
+           "all_ambiguous": (-2.0, -2.0), "all_negative": (2.0, 2.0)}[regime]
+    thr = Thresholds(tau_s=tau[0], tau_u=tau[1], epoch=0)
+    return batch, frame_sims, detect_frame_ambiguity(batch, frame_sims, tables, thr)
+
+
+def test_loss_frame_matches_loop_oracle_in_value_and_gradient():
+    rng = np.random.default_rng(16)
+    cfg = LossConfig(lambda_nce=0.5, temperature=0.7)
+    seen = set()
+    for trial in range(90):
+        regime = _REGIMES[trial % 3]
+        batch, sims, fsets = _random_frame_case(rng, regime, l_v=1 if trial < 6 else None)
+        if regime == "all_ambiguous":
+            assert not any(fsets.neg_frames) and not any(fsets.neg_queries)
+        if regime == "all_negative":
+            assert not any(fsets.amb_frames) and not any(fsets.amb_queries)
+        seen.add((regime, sims.shape[2] == 1))
+        for key in ("nce", "trip_a", "trip_n", "total"):
+            x_mask, x_loop = ad.Var(sims), ad.Var(sims)
+            got, g_got = _value_and_grad(loss_frame(x_mask, fsets, cfg)[key], x_mask)
+            want, g_want = _value_and_grad(loop_loss_frame(x_loop, fsets, cfg)[key], x_loop)
+            assert got == pytest.approx(want, abs=1e-12), (trial, key)
+            np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
+    assert len(seen) == 6
+
+
+def test_loss_frame_hand_built_lists_match_detected_masks():
+    rng = np.random.default_rng(17)
+    for regime in _REGIMES:
+        _, sims, fsets = _random_frame_case(rng, regime, l_v=4)
+        manual = FrameSets(best_frame=fsets.best_frame, amb_frames=fsets.amb_frames,
+                           neg_frames=fsets.neg_frames, amb_queries=fsets.amb_queries,
+                           neg_queries=fsets.neg_queries)
+        for name in ("amb_frame_mask", "neg_frame_mask", "amb_query_mask", "neg_query_mask"):
+            np.testing.assert_array_equal(getattr(manual, name), getattr(fsets, name))
+
+
+def test_loss_triplet_matches_loop_oracle_in_value_and_gradient():
+    rng = np.random.default_rng(18)
+    for trial in range(60):
+        b = int(rng.integers(2, 7))
+        batch = [(i, int(rng.integers(0, b + 1))) for i in range(b)]
+        fill = (rng.random(), 0.0, 1.0)[trial % 3]   # mixed, none, all ambiguous
+        sets = sets_from_masks(batch, rng.random((b, b)) < fill)
+        scores = rng.uniform(-1, 1, size=(b, b))
+        for mode, margin in (("ambiguous", 0.1), ("negative", 0.2)):
+            x_mask, x_loop = ad.Var(scores), ad.Var(scores)
+            got, g_got = _value_and_grad(loss_triplet(x_mask, sets, margin, mode), x_mask)
+            want, g_want = _value_and_grad(
+                loop_loss_triplet(x_loop, sets, margin, mode), x_loop)
+            assert got == pytest.approx(want, abs=1e-12), (trial, mode)
+            np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)

@@ -146,3 +146,27 @@ def test_cosine_pairs_gradient():
             qm[i, j] -= h
             want[i, j] = (float(build(qp)) - float(build(qm))) / (2 * h)
     np.testing.assert_allclose(got, want, atol=1e-7)
+
+
+def test_cosine_pairs_frame_gradient():
+    rng = np.random.default_rng(12)
+    q = rng.normal(size=(3, 4))
+    f = rng.normal(size=(2, 3, 4))
+    w = rng.normal(size=(3, 2, 3))
+
+    def build(fv, qv=q):
+        return ad.reduce_sum(ad.mul(cosine_pairs(qv, fv), w))
+
+    qv, fv = ad.Var(q), ad.Var(f)
+    grads = ad.backward(build(fv, qv))
+    got = grads[id(fv)]
+
+    h = 1e-6
+    want = np.zeros_like(f)
+    for idx in np.ndindex(f.shape):
+        fp, fm = f.copy(), f.copy()
+        fp[idx] += h
+        fm[idx] -= h
+        want[idx] = (float(build(fp)) - float(build(fm))) / (2 * h)
+    np.testing.assert_allclose(got, want, atol=1e-7)
+    assert id(qv) in grads
