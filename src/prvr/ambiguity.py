@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .similarity import CorpusSimilarityMap, map_retrieval_scores
+from .similarity import CorpusSimilarityMap, map_retrieval_scores, reduce_map, score_corpus
 
 
 @dataclass
@@ -104,12 +104,8 @@ class AmbiguitySets:
 
 def compute_uncertainty(sim_map: CorpusSimilarityMap) -> UncertaintyTables:
     """Average the similarity map into per-query and per-frame tables."""
-    m = sim_map.m
-    return UncertaintyTables(
-        u_q=m.mean(axis=(1, 2)),
-        u_v=m.mean(axis=0),
-        epoch=sim_map.epoch,
-    )
+    r = reduce_map(sim_map, uncertainty=True)
+    return UncertaintyTables(u_q=r.u_q, u_v=r.u_v, epoch=r.epoch)
 
 
 def _check_index(n, i, what):
@@ -129,18 +125,38 @@ def frame_uncertainty(tables: UncertaintyTables, i: int, j: int, k: int) -> floa
     return (tables.u_q[i] + tables.u_v[j, k]) / 2.0
 
 
+def pair_uncertainties(u_q, u_v, best):
+    """(N_q, N_v) uncertainty of every pair at its best frame."""
+    u = u_v[np.arange(best.shape[1])[None, :], best]
+    u += u_q[:, None]
+    u /= 2.0
+    return u
+
+
+def _thresholds(scores, best, pairing, tables: UncertaintyTables, epoch) -> Thresholds:
+    if len(pairing) == 0:
+        raise ConfigError("cannot compute thresholds on an empty train set")
+    tau_s = float(scores[np.arange(scores.shape[0]), pairing].mean())
+    tau_u = float(pair_uncertainties(tables.u_q, tables.u_v, best).mean())
+    return Thresholds(tau_s=tau_s, tau_u=tau_u, epoch=epoch)
+
+
 def compute_thresholds(sim_map: CorpusSimilarityMap, pairing: np.ndarray,
                        tables: UncertaintyTables) -> Thresholds:
     """Per-epoch thresholds from the current map and tables."""
-    if len(pairing) == 0:
-        raise ConfigError("cannot compute thresholds on an empty train set")
     scores, best = map_retrieval_scores(sim_map)
-    n_q, n_v = scores.shape
-    tau_s = float(scores[np.arange(n_q), pairing].mean())
-    u_best = tables.u_v[np.arange(n_v)[None, :], best]
-    u_pairs = (tables.u_q[:, None] + u_best) / 2.0
-    tau_u = float(u_pairs.mean())
-    return Thresholds(tau_s=tau_s, tau_u=tau_u, epoch=sim_map.epoch)
+    return _thresholds(scores, best, pairing, tables, sim_map.epoch)
+
+
+def corpus_thresholds(params, corpus, epoch: int):
+    """One branch's per-epoch (UncertaintyTables, Thresholds), streamed.
+
+    Bitwise equal to compute_uncertainty and compute_thresholds on
+    build_corpus_map's map, without holding the map.
+    """
+    r = score_corpus(params, corpus, epoch=epoch, uncertainty=True)
+    tables = UncertaintyTables(u_q=r.u_q, u_v=r.u_v, epoch=epoch)
+    return tables, _thresholds(r.scores, r.best, corpus.pairing, tables, epoch)
 
 
 def detect_video_ambiguity(batch, scores, best_frames,

@@ -12,6 +12,7 @@ import csv
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -40,6 +41,25 @@ def _fmt(value):
 def _print_resolved(pairs):
     for line in pairs:
         print(f"config {line}")
+
+
+@contextmanager
+def _atomic_open(path, newline=None):
+    """Text file handle whose contents replace `path` only once fully written.
+
+    Writes go to a temp file in the same directory, renamed over `path`
+    on success and removed on failure, so a failed write leaves any
+    earlier file intact.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _require_file(path, what):
@@ -103,7 +123,7 @@ def cmd_evaluate(args):
     report = evaluate(state, corpus)
     payload = {f"r{k}": report.r_at[k] for k in sorted(report.r_at)}
     payload["sumr"] = report.sum_r
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _atomic_open(args.out) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"wrote {args.out}: sumr={report.sum_r:.2f}")
@@ -113,7 +133,7 @@ def cmd_evaluate(args):
 def cmd_audit(args):
     state, corpus = _load_for_scoring(args)
     report = audit(state, corpus)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(args.out, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["record", "field", "value", "extra"])
         for key in ("tau_s", "tau_u", "mean_positive_similarity",

@@ -1,20 +1,22 @@
 """Retrieval metrics, fused dual-branch scoring, and training-set audits.
 
 Ranking fuses the two branches by averaging their retrieval scores. The
-audit rebuilds similarity/uncertainty over the train set from the final
+audit rescores similarity/uncertainty over the train set from the final
 parameters, splits both by positive vs unpaired pairs, and (for corpora
-with planted ground truth) grades the detected ambiguous pairs.
+with planted ground truth) grades the detected ambiguous pairs. Both
+stream over query chunks (similarity.score_corpus), so neither holds the
+N_q x N_v x L_v map.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import compute_uncertainty
+from .ambiguity import pair_uncertainties
 from .corpus import FeatureCorpus
 from .encoder import encode_text, encode_video
 from .errors import ConfigError
-from .similarity import build_corpus_map, map_retrieval_scores, retrieval_score
+from .similarity import retrieval_score, score_corpus
 from .trainer import DualBranchState
 
 RECALL_KS = (1, 5, 10, 100)
@@ -58,22 +60,20 @@ def fused_score(theta_params, phi_params, q_features, v_features) -> float:
     return (s_t + s_p) / 2.0
 
 
-def _branch_scores(state: DualBranchState, corpus: FeatureCorpus):
-    """Per-branch (scores, best, uncertainty) over all corpus pairs."""
-    out = []
-    for branch in (state.theta, state.phi):
-        sim_map = build_corpus_map(branch.params, corpus, epoch=state.epoch)
-        scores, best = map_retrieval_scores(sim_map)
-        tables = compute_uncertainty(sim_map)
-        u = (tables.u_q[:, None] + tables.u_v[np.arange(corpus.n_v)[None, :], best]) / 2.0
-        out.append((scores, best, u))
-    return out
+def _branch_scores(params, corpus: FeatureCorpus, epoch: int, uncertainty: bool):
+    """One branch's (scores, pair uncertainties or None), each (N_q, N_v)."""
+    r = score_corpus(params, corpus, epoch=epoch, uncertainty=uncertainty)
+    return r.scores, (pair_uncertainties(r.u_q, r.u_v, r.best) if uncertainty else None)
 
 
-def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus):
-    """Fused scores and fused pair uncertainties, (N_q, N_v) each."""
-    (s_t, _, u_t), (s_p, _, u_p) = _branch_scores(state, corpus)
-    return (s_t + s_p) / 2.0, (u_t + u_p) / 2.0
+def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus, uncertainty: bool = True):
+    """Fused scores and fused pair uncertainties, (N_q, N_v) each.
+
+    Without uncertainty the second item is None and no tables are built.
+    """
+    (s_t, u_t), (s_p, u_p) = (_branch_scores(b.params, corpus, state.epoch, uncertainty)
+                              for b in (state.theta, state.phi))
+    return (s_t + s_p) / 2.0, ((u_t + u_p) / 2.0 if uncertainty else None)
 
 
 def _ranks(scores, pairing):
@@ -96,7 +96,7 @@ def recall_from_scores(scores, pairing) -> RecallReport:
 
 def evaluate(state: DualBranchState, corpus: FeatureCorpus) -> RecallReport:
     """Recall@K and SumR of the fused scorer over the given corpus."""
-    fused, _ = fused_pair_scores(state, corpus)
+    fused, _ = fused_pair_scores(state, corpus, uncertainty=False)
     return recall_from_scores(fused, corpus.pairing)
 
 
@@ -144,7 +144,8 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     tau_s = float(fused_s[pos].mean())
     tau_u = float(fused_u.mean())
     detected_mask = unp & (fused_s > tau_s) & (fused_u > tau_u)
-    detected = sorted((int(i), int(j)) for i, j in zip(*np.nonzero(detected_mask)))
+    rows, cols = np.nonzero(detected_mask)            # row-major, so already sorted
+    detected = list(zip(rows.tolist(), cols.tolist()))
 
     planted = corpus.planted_ambiguity
     n_planted = len(planted) if planted else 0

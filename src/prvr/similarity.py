@@ -1,13 +1,20 @@
-"""Cosine similarity between queries and video frames, and the corpus map.
+"""Cosine similarity between queries and video frames, and corpus scoring.
 
 The retrieval score of a (query, video) pair is the maximum frame cosine;
-the dataset-wide map M holds every query x frame cosine and is rebuilt
-from scratch each epoch.
+the dataset-wide map M holds every query x frame cosine.
 
 All cosine paths go through one elementwise-multiply + sum kernel
 (never BLAS matmul): numpy's pairwise reduction over the contiguous last
 axis is bitwise shape-independent, so the batched map equals per-entry
 scalar calls exactly. GEMM does not have that property.
+
+Corpus scoring never holds the whole map. `score_corpus` encodes each
+side once and walks the queries in chunks of about _CHUNK_BYTES: the
+kernel fills one (chunk, N_v, L_v) block, and a reducer folds it into
+per-pair scores and best frames and, when asked, the uncertainty tables.
+Memory is O(N_q * N_v) plus one chunk. `build_corpus_map` keeps the map
+form for tests and tools; it runs the same kernel, and the map-form
+reductions run the same reducer, so both forms are bitwise equal.
 """
 
 from dataclasses import dataclass
@@ -18,12 +25,34 @@ from . import autodiff as ad
 from .encoder import encode_text, encode_video
 from .errors import NumericalError
 
+# Bytes of one query chunk of the map, and of the product buffer of one
+# (query, video) tile; the row and tile counts derive from the shapes.
+_CHUNK_BYTES = 1 << 20
+_TILE_BYTES = 1 << 20
+
 
 @dataclass
 class CorpusSimilarityMap:
     """m[x, y, z] = cosine(query x, frame z of video y) at `epoch`."""
 
     m: np.ndarray
+    epoch: int
+
+
+@dataclass
+class CorpusScores:
+    """Per-pair retrieval over a corpus at `epoch`.
+
+    scores[x, y] is the max frame cosine of query x in video y and
+    best[x, y] its frame (ties -> lowest index), both (N_q, N_v). u_q
+    (N_q,) and u_v (N_v, L_v) are the map's means over each query's row
+    and over the queries; None unless asked for.
+    """
+
+    scores: np.ndarray
+    best: np.ndarray
+    u_q: np.ndarray | None
+    u_v: np.ndarray | None
     epoch: int
 
 
@@ -91,29 +120,106 @@ def cosine_pairs(q_emb, frame_emb):
     return _unit_dots(ad.div(q_emb, qn), ad.div(frame_emb, fn))
 
 
-def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
-    """Recompute the full N_q x N_v x L_v cosine map for given params.
-
-    Each modality is encoded in one batched call, which is bitwise equal
-    to per-instance encoding, and the cosine kernel matches
-    frame_similarity entry for entry (tolerance 0).
-    """
+def _unit_embeddings(params, corpus):
+    """Unit query (N_q, d) and frame (N_v, L_v, d) embeddings, one encode per side."""
     q_emb = encode_text(params, corpus.text_features)
     f_emb = encode_video(params, corpus.video_features)
     fn = np.sqrt((f_emb * f_emb).sum(axis=-1, keepdims=True))
     qn = np.sqrt((q_emb * q_emb).sum(axis=-1, keepdims=True))
     if np.any(fn == 0.0) or np.any(qn == 0.0):
-        raise NumericalError("zero-norm embedding while building the corpus map")
-    fu = f_emb / fn
-    qu = q_emb / qn
-    m = np.empty((corpus.n_q, corpus.n_v, corpus.l_v), dtype=np.float64)
-    for x in range(corpus.n_q):
-        m[x] = (qu[x] * fu).sum(axis=-1)
+        raise NumericalError("zero-norm embedding while scoring the corpus")
+    return q_emb / qn, f_emb / fn
+
+
+def _fill_map(qu, fu, out):
+    """out[x, y, z] = qu[x] . fu[y, z] for a block of queries.
+
+    The product runs over (query, video) tiles through one reused buffer
+    of about _TILE_BYTES. Each dot is the same pairwise sum over d as in
+    the whole product, so every tiling gives the same bits.
+    """
+    n_q = len(qu)
+    n_v, l_v, d = fu.shape
+    pair = l_v * d * 8              # product bytes of one (query, video) pair
+    tv = max(1, min(n_v, _TILE_BYTES // pair))
+    tq = max(1, min(n_q, _TILE_BYTES // (tv * pair)))
+    buf = np.empty(tq * tv * l_v * d)
+    for x0 in range(0, n_q, tq):
+        q = qu[x0:x0 + tq, None, None, :]
+        for y0 in range(0, n_v, tv):
+            f = fu[y0:y0 + tv]
+            prod = buf[:len(q) * f.size].reshape(len(q), *f.shape)
+            np.multiply(q, f, out=prod)
+            prod.sum(axis=-1, out=out[x0:x0 + tq, y0:y0 + tv])
+
+
+def _map_chunks(qu, fu):
+    """(x0, block) chunks of the map in query order, in one reused buffer."""
+    n_q, (n_v, l_v, _) = len(qu), fu.shape
+    rows = max(1, min(n_q, _CHUNK_BYTES // (n_v * l_v * 8)))
+    block = np.empty((rows, n_v, l_v))
+    for x0 in range(0, n_q, rows):
+        chunk = block[:min(rows, n_q - x0)]
+        _fill_map(qu[x0:x0 + rows], fu, chunk)
+        yield x0, chunk
+
+
+def _reduce(chunks, shape, uncertainty, epoch) -> CorpusScores:
+    """Fold (x0, block) chunks of a map of `shape`, in query order.
+
+    u_q takes each chunk's row means. u_v adds the rows one at a time from
+    zero, then divides by N_q: that is the order numpy's mean over axis 0
+    of the whole map sums in, so both match the map form bitwise.
+    """
+    n_q, n_v, l_v = shape
+    scores = np.empty((n_q, n_v))
+    best = np.empty((n_q, n_v), dtype=np.intp)
+    u_q = np.empty(n_q) if uncertainty else None
+    u_v = np.zeros((n_v, l_v)) if uncertainty else None
+    for x0, chunk in chunks:
+        span = slice(x0, x0 + len(chunk))
+        k = np.argmax(chunk, axis=2)
+        best[span] = k
+        scores[span] = np.take_along_axis(chunk, k[..., None], axis=2)[..., 0]
+        if uncertainty:
+            u_q[span] = chunk.mean(axis=(1, 2))
+            for row in chunk:
+                u_v += row
+    if uncertainty:
+        # numpy sums a (N_q, 1, 1) map pairwise as one column, and that
+        # column is the scores
+        u_v = scores.mean(axis=0).reshape(1, 1) if u_v.size == 1 else u_v / n_q
+    return CorpusScores(scores=scores, best=best, u_q=u_q, u_v=u_v, epoch=epoch)
+
+
+def score_corpus(params, corpus, epoch: int = 0, uncertainty: bool = False) -> CorpusScores:
+    """Per-pair scores over the corpus, streamed over query chunks.
+
+    With uncertainty, also the tables u_q and u_v. Holds one chunk of
+    the map at a time; bitwise equal to reducing build_corpus_map.
+    """
+    qu, fu = _unit_embeddings(params, corpus)
+    return _reduce(_map_chunks(qu, fu), (len(qu),) + fu.shape[:2], uncertainty, epoch)
+
+
+def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
+    """The whole N_q x N_v x L_v cosine map, for tests and tools.
+
+    Same encodes and kernel as score_corpus; each entry equals
+    frame_similarity of the pair (tolerance 0).
+    """
+    qu, fu = _unit_embeddings(params, corpus)
+    m = np.empty((len(qu),) + fu.shape[:2])
+    _fill_map(qu, fu, m)
     return CorpusSimilarityMap(m=m, epoch=epoch)
+
+
+def reduce_map(sim_map: CorpusSimilarityMap, uncertainty: bool = False) -> CorpusScores:
+    """score_corpus's outputs from a whole map, as one chunk."""
+    return _reduce([(0, sim_map.m)], sim_map.m.shape, uncertainty, sim_map.epoch)
 
 
 def map_retrieval_scores(sim_map: CorpusSimilarityMap):
     """Per-pair retrieval scores and best-frame indices from the map."""
-    best = np.argmax(sim_map.m, axis=2)
-    scores = np.take_along_axis(sim_map.m, best[..., None], axis=2)[..., 0]
-    return scores, best
+    r = reduce_map(sim_map)
+    return r.scores, r.best

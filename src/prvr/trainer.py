@@ -2,8 +2,8 @@
 
 Two architecturally identical branches (different init seeds, identical
 data order) train side by side. After the warmup epochs, each branch
-rebuilds its similarity map, uncertainty tables, and thresholds at the
-start of every epoch from its own parameters; per batch each branch
+rescores the corpus into uncertainty tables and thresholds at the start
+of every epoch from its own parameters; per batch each branch
 detects ambiguity sets with its own live scores, and with cross_model
 enabled the branches swap sets before computing their losses. Updates
 are simultaneous within a batch.
@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .ambiguity import (compute_thresholds, compute_uncertainty,
-                        detect_frame_ambiguity, detect_video_ambiguity)
+from .ambiguity import corpus_thresholds, detect_frame_ambiguity, detect_video_ambiguity
 from .corpus import FeatureCorpus
 from .encoder import EncoderDims, EncoderParams, collect_tape, encode_text, encode_video, wrap_params
 from .errors import ConfigError, DimensionError, FormatError, NumericalError
 from .losses import (LossConfig, breakdown, forced_negative_sets, grand_total,
                      loss_frame, loss_video, loss_warmup)
-from .similarity import build_corpus_map, cosine_pairs
+from .similarity import cosine_pairs
 
 CKPT_MAGIC = b"PRVK"
 CKPT_VERSION = 1
@@ -222,9 +221,7 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
         for branch in branches:
             ctx = {"tables": None, "thresholds": None}
             if lad_active:
-                sim_map = build_corpus_map(branch.params, corpus, epoch=epoch)
-                ctx["tables"] = compute_uncertainty(sim_map)
-                ctx["thresholds"] = compute_thresholds(sim_map, corpus.pairing, ctx["tables"])
+                ctx["tables"], ctx["thresholds"] = corpus_thresholds(branch.params, corpus, epoch)
             epoch_ctx.append(ctx)
 
         sums = [dict.fromkeys(

@@ -193,3 +193,43 @@ def loop_loss_frame(frame_sims, frames, cfg):
     trip_n = hinge_total(sel_n, base_n, cfg.margin_m)
     total = ad.add(ad.add(ad.mul(nce, cfg.lambda_nce), trip_a), trip_n)
     return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
+
+
+# --- dense-map corpus scoring ---------------------------------------------
+# The library streams corpus scoring over query chunks. The oracle below
+# is the dense-map form it replaced: the whole N_q x N_v x L_v map built
+# one query at a time, then reduced with numpy over the whole map.
+
+def map_corpus_scores(params, corpus):
+    """(scores, best, u_q, u_v) of one branch from the whole cosine map."""
+    from prvr.encoder import encode_text, encode_video
+
+    q = encode_text(params, corpus.text_features)
+    f = encode_video(params, corpus.video_features)
+    qu = q / np.sqrt((q * q).sum(axis=-1, keepdims=True))
+    fu = f / np.sqrt((f * f).sum(axis=-1, keepdims=True))
+    m = np.empty((corpus.n_q, corpus.n_v, corpus.l_v))
+    for x in range(corpus.n_q):
+        m[x] = (qu[x] * fu).sum(axis=-1)
+    best = np.argmax(m, axis=2)
+    scores = np.take_along_axis(m, best[..., None], axis=2)[..., 0]
+    return scores, best, m.mean(axis=(1, 2)), m.mean(axis=0)
+
+
+def map_pair_uncertainty(u_q, u_v, best):
+    return (u_q[:, None] + u_v[np.arange(best.shape[1])[None, :], best]) / 2.0
+
+
+def map_thresholds(scores, best, u_q, u_v, pairing):
+    """(tau_s, tau_u): mean positive score, mean pair uncertainty."""
+    tau_s = float(scores[np.arange(scores.shape[0]), pairing].mean())
+    return tau_s, float(map_pair_uncertainty(u_q, u_v, best).mean())
+
+
+def map_branch_scores(state, corpus):
+    """Per-branch (scores, best, pair uncertainty) over all corpus pairs."""
+    out = []
+    for branch in (state.theta, state.phi):
+        scores, best, u_q, u_v = map_corpus_scores(branch.params, corpus)
+        out.append((scores, best, map_pair_uncertainty(u_q, u_v, best)))
+    return out

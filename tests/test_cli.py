@@ -191,3 +191,46 @@ def test_unwritable_out_exits_3(tmp_path, spec_file, train_file, capsys):
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("prvr: io-error:")
+
+
+def _fail_json_mid_write(monkeypatch):
+    import prvr.cli as cli
+
+    def dump(obj, fh, **kwargs):
+        fh.write('{"r1": ')
+        raise OSError(28, "No space left on device")
+    monkeypatch.setattr(cli.json, "dump", dump)
+
+
+def _fail_csv_mid_write(monkeypatch):
+    import prvr.cli as cli
+    fmt, calls = cli._fmt, []
+
+    def failing_fmt(value):
+        calls.append(value)
+        if len(calls) == 5:     # after four summary rows
+            raise OSError(28, "No space left on device")
+        return fmt(value)
+    monkeypatch.setattr(cli, "_fmt", failing_fmt)
+
+
+@pytest.mark.parametrize("command, name, inject", (
+    ("evaluate", "report.json", _fail_json_mid_write),
+    ("audit", "audit.csv", _fail_csv_mid_write)))
+def test_failed_write_keeps_earlier_output(tmp_path, spec_file, train_file, capsys,
+                                           monkeypatch, command, name, inject):
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    out = out_dir / name
+    argv = [command, "--checkpoint", ckpt, "--corpus", corpus_path, "--out", str(out)]
+    assert main(argv) == 0
+    earlier = out.read_bytes()
+    capsys.readouterr()
+
+    inject(monkeypatch)
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: io-error:")
+    assert out.read_bytes() == earlier
+    assert os.listdir(out_dir) == [name]

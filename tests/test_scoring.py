@@ -1,0 +1,157 @@
+"""Streamed corpus scoring against the dense-map oracle, at tolerance 0.
+
+similarity.score_corpus walks the queries in chunks of _CHUNK_BYTES and
+the cosine kernel walks (query, video) tiles of _TILE_BYTES; the sizes
+are patched here to reach every chunk and tile edge.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from prvr import similarity
+from prvr.ambiguity import compute_thresholds, compute_uncertainty, corpus_thresholds
+from prvr.corpus import CorpusSpec, generate_synthetic
+from prvr.errors import NumericalError
+from prvr.evaluation import audit, fused_pair_scores
+from prvr.similarity import build_corpus_map, map_retrieval_scores, score_corpus
+from prvr.trainer import TrainConfig, init_state
+
+from tests.oracles import map_branch_scores, map_corpus_scores, map_thresholds
+
+
+def make_corpus(n_q=37, n_v=6, l_v=4, ambiguity_rate=0.3, seed=2):
+    spec = CorpusSpec(n_q=n_q, n_v=n_v, l_q=3, l_v=l_v, d_t=8, d_v=9, seed=seed,
+                      segments_per_video=1, ambiguity_rate=ambiguity_rate,
+                      noise_scale=0.3)
+    return generate_synthetic(spec)
+
+
+def make_state(corpus, seed=1):
+    cfg = TrainConfig(epochs=1, batch_size=2, warmup_epochs=1, embed_dim=8, seed=seed)
+    return init_state(corpus, cfg)
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+# (chunk bytes, tile bytes) from one map row's bytes, one (query, video)
+# pair's product bytes and N_v; the corpora have N_q = 37.
+SIZES = {
+    "one-row chunks": lambda row, pair, n_v: (1, 1 << 20),
+    "ragged last chunk": lambda row, pair, n_v: (3 * row, 1 << 20),
+    "single chunk": lambda row, pair, n_v: (1 << 30, 1 << 30),
+    "tile width 1": lambda row, pair, n_v: (4 * row, 1),
+    "ragged video tiles": lambda row, pair, n_v: (3 * row, 4 * pair),
+    "query tiles": lambda row, pair, n_v: (3 * row, 2 * n_v * pair),
+}
+
+
+def patch_sizes(monkeypatch, sizes, state, corpus):
+    pair = corpus.l_v * state.theta.params.dims.d * 8
+    chunk, tile = SIZES[sizes](corpus.n_v * corpus.l_v * 8, pair, corpus.n_v)
+    monkeypatch.setattr(similarity, "_CHUNK_BYTES", chunk)
+    monkeypatch.setattr(similarity, "_TILE_BYTES", tile)
+
+
+SHAPES = {"base": (6, 4), "l_v=1": (6, 1), "n_v=1": (1, 4), "n_v=l_v=1": (1, 1)}
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("sizes", SIZES)
+def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
+    n_v, l_v = SHAPES[shape]
+    corpus = make_corpus(n_v=n_v, l_v=l_v, ambiguity_rate=0.3 if n_v > 1 else 0.0)
+    state = make_state(corpus)
+    patch_sizes(monkeypatch, sizes, state, corpus)
+
+    params = state.theta.params
+    scores, best, u_q, u_v = map_corpus_scores(params, corpus)
+    got = score_corpus(params, corpus, epoch=7, uncertainty=True)
+    for g, w in ((got.scores, scores), (got.best, best), (got.u_q, u_q), (got.u_v, u_v)):
+        assert_bitwise(g, w)
+    assert got.epoch == 7
+
+    plain = score_corpus(params, corpus)
+    assert plain.u_q is None and plain.u_v is None
+    assert_bitwise(plain.scores, scores)
+
+    tables, thr = corpus_thresholds(params, corpus, epoch=7)
+    assert (thr.tau_s, thr.tau_u) == map_thresholds(scores, best, u_q, u_v, corpus.pairing)
+    assert_bitwise(tables.u_q, u_q)
+    assert_bitwise(tables.u_v, u_v)
+
+    # the map-form wrappers run the same kernel and reducer
+    sim_map = build_corpus_map(params, corpus, epoch=7)
+    map_scores, map_best = map_retrieval_scores(sim_map)
+    assert_bitwise(map_scores, scores)
+    assert_bitwise(map_best, best)
+    map_tables = compute_uncertainty(sim_map)
+    assert_bitwise(map_tables.u_q, u_q)
+    assert_bitwise(map_tables.u_v, u_v)
+    assert compute_thresholds(sim_map, corpus.pairing, map_tables) == thr
+
+
+@pytest.mark.parametrize("sizes", ("one-row chunks", "ragged video tiles"))
+def test_fused_scores_and_audit_match_map_oracle(monkeypatch, sizes):
+    corpus = make_corpus(n_v=6, ambiguity_rate=0.5)
+    state = make_state(corpus)
+    patch_sizes(monkeypatch, sizes, state, corpus)
+
+    (s_t, _, u_t), (s_p, _, u_p) = map_branch_scores(state, corpus)
+    want_s, want_u = (s_t + s_p) / 2.0, (u_t + u_p) / 2.0
+    fused_s, fused_u = fused_pair_scores(state, corpus)
+    assert_bitwise(fused_s, want_s)
+    assert_bitwise(fused_u, want_u)
+    scores_only, none = fused_pair_scores(state, corpus, uncertainty=False)
+    assert_bitwise(scores_only, want_s)
+    assert none is None
+
+    rep = audit(state, corpus)
+    pos = np.zeros(want_s.shape, dtype=bool)
+    pos[np.arange(corpus.n_q), corpus.pairing] = True
+    tau_s, tau_u = float(want_s[pos].mean()), float(want_u.mean())
+    assert (rep.tau_s, rep.tau_u) == (tau_s, tau_u)
+    want = sorted((i, j) for i in range(corpus.n_q) for j in range(corpus.n_v)
+                  if not pos[i, j] and want_s[i, j] > tau_s and want_u[i, j] > tau_u)
+    assert want and rep.detected_pairs == want
+    assert all(type(i) is int and type(j) is int for i, j in rep.detected_pairs)
+
+
+@pytest.mark.parametrize("side", ("encode_text", "encode_video"))
+def test_zero_norm_embedding_raises(monkeypatch, side):
+    corpus = make_corpus()
+    state = make_state(corpus)
+    encode = getattr(similarity, side)
+
+    def with_zero_row(params, features, *args):
+        emb = encode(params, features, *args).copy()
+        emb[1] = 0.0
+        return emb
+    monkeypatch.setattr(similarity, side, with_zero_row)
+    with pytest.raises(NumericalError):
+        score_corpus(state.theta.params, corpus)
+    with pytest.raises(NumericalError):
+        build_corpus_map(state.theta.params, corpus)
+    with pytest.raises(NumericalError):
+        fused_pair_scores(state, corpus)
+
+
+def test_scoring_memory_stays_below_the_map():
+    # the dense map of this corpus would take n_q * n_v * l_v * 8 = 36 MiB
+    n_q, n_v, l_v = 2048, 48, 48
+    corpus = make_corpus(n_q=n_q, n_v=n_v, l_v=l_v, seed=4)
+    state = make_state(corpus, seed=3)
+    map_bytes = n_q * n_v * l_v * 8
+    for run in (lambda: fused_pair_scores(state, corpus), lambda: audit(state, corpus)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < map_bytes / 3, (peak, map_bytes)
