@@ -8,19 +8,17 @@ between branches, and evaluates retrieval with fused scores.
 
 from .ambiguity import (AmbiguitySets, FrameSets, Thresholds, UncertaintyTables,
                         compute_thresholds, compute_uncertainty,
-                        detect_frame_ambiguity, detect_video_ambiguity,
-                        frame_uncertainty, pair_uncertainty)
+                        detect_frame_ambiguity, detect_video_ambiguity)
 from .corpus import (CorpusSpec, FeatureCorpus, generate_synthetic,
                      read_corpus, write_corpus)
 from .encoder import EncoderDims, EncoderParams, GradientTape, encode_text, encode_video
 from .errors import (ConfigError, DimensionError, FormatError,
                      NumericalError, PrvrError)
-from .evaluation import AuditReport, RecallReport, audit, evaluate, fused_score
+from .evaluation import AuditReport, RecallReport, audit, evaluate
 from .losses import (LossBreakdown, LossConfig, loss_frame, loss_nce,
                      loss_nce_t2v, loss_nce_v2t, loss_triplet, loss_video,
                      loss_warmup)
-from .similarity import (CorpusSimilarityMap, build_corpus_map,
-                         frame_similarity, retrieval_score)
+from .similarity import CorpusSimilarityMap, build_corpus_map, frame_similarity
 from .trainer import (DualBranchState, TrainConfig, checkpoint, resume,
                       step, train)
 

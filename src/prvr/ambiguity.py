@@ -35,94 +35,57 @@ class Thresholds:
     epoch: int
 
 
-def _mask_rows(mask):
-    """Per-row index lists of a boolean matrix."""
-    return [list(np.nonzero(row)[0]) for row in mask]
-
-
-def _rows_mask(rows, width):
-    mask = np.zeros((len(rows), width), dtype=bool)
-    for r, cols in enumerate(rows):
-        mask[r, list(cols)] = True
-    return mask
-
-
 @dataclass
 class FrameSets:
-    """Frame-level ambiguity for each positive pair of a batch.
+    """Frame-level ambiguity for each positive pair of a batch, as masks.
 
-    best_frame[p] is the positive frame of pair p; amb/neg frames
-    partition the remaining frames of the paired video. amb/neg queries
-    partition the non-positive batch slots relative to the selected
-    frame.
-
-    The losses read the same sets as boolean masks: frame masks are
-    (b, L_v) with [p, k] for frame k of pair p's video, query masks are
-    (b, b) with [p, x] for query slot x against pair p's selected frame.
-    Sets built from lists alone get their masks derived from the lists.
+    best_frame[p] is the positive frame of pair p. Frame masks are
+    (b, L_v), [p, k] for frame k of pair p's video: amb and neg partition
+    the frames other than the best one. Query masks are (b, b), [p, x]
+    for query slot x against pair p's selected frame: amb and neg
+    partition the slots of other videos.
     """
 
     best_frame: np.ndarray
-    amb_frames: list
-    neg_frames: list
-    amb_queries: list
-    neg_queries: list
-    amb_frame_mask: np.ndarray = field(default=None, repr=False)
-    neg_frame_mask: np.ndarray = field(default=None, repr=False)
-    amb_query_mask: np.ndarray = field(default=None, repr=False)
-    neg_query_mask: np.ndarray = field(default=None, repr=False)
+    amb_frame_mask: np.ndarray
+    neg_frame_mask: np.ndarray
+    amb_query_mask: np.ndarray
+    neg_query_mask: np.ndarray
 
-    def __post_init__(self):
-        if self.amb_frame_mask is None:
-            b = len(self.best_frame)
-            # amb, neg and the best frame partition the video's frames
-            l_v = 1 + len(self.amb_frames[0]) + len(self.neg_frames[0]) if b else 1
-            self.amb_frame_mask = _rows_mask(self.amb_frames, l_v)
-            self.neg_frame_mask = _rows_mask(self.neg_frames, l_v)
-            self.amb_query_mask = _rows_mask(self.amb_queries, b)
-            self.neg_query_mask = _rows_mask(self.neg_queries, b)
+    @property
+    def amb_frames(self):
+        """Per-pair indices of the ambiguous frames, derived from the mask.
+
+        Only perfbench/tracer.py reads it, to count detected frames. It
+        goes with the next benchmark change, once the tracer reads
+        amb_frame_mask (ROADMAP item 8).
+        """
+        return [np.flatnonzero(row) for row in self.amb_frame_mask]
 
 
 @dataclass
 class AmbiguitySets:
-    """Per-slot ambiguous/negative index sets for one mini-batch.
+    """Video-level ambiguity for one mini-batch, as (b, b) slot masks.
 
     Slots are batch positions; batch[p] = (query index, video index).
-    pos/amb are boolean slot matrices (pos by video identity, so
-    duplicate captions of one video are never negatives of each other).
+    Rows are query slots, columns video slots. pos marks pairs of one
+    video (so duplicate captions of a video are never negatives of each
+    other), amb the ambiguous pairs, and neg the rest.
     """
 
     batch: list
-    video_sets: list                 # A_i^q, slots of ambiguous videos per query slot
-    query_sets: list                 # A_j^v, slots of ambiguous queries per video slot
-    negative_video_sets: list
-    negative_query_sets: list
     pos: np.ndarray = field(repr=False)
     amb: np.ndarray = field(repr=False)
-    frames: FrameSets | None = None
+
+    @property
+    def neg(self):
+        return (~self.pos) & (~self.amb)
 
 
 def compute_uncertainty(sim_map: CorpusSimilarityMap) -> UncertaintyTables:
     """Average the similarity map into per-query and per-frame tables."""
     r = reduce_map(sim_map, uncertainty=True)
     return UncertaintyTables(u_q=r.u_q, u_v=r.u_v, epoch=r.epoch)
-
-
-def _check_index(n, i, what):
-    if not 0 <= i < n:
-        raise IndexError(f"{what} index {i} out of range [0, {n})")
-
-
-def pair_uncertainty(tables: UncertaintyTables, i: int, j: int, k_hat: int) -> float:
-    """Uncertainty of pair (query i, video j) at its best frame k_hat."""
-    return frame_uncertainty(tables, i, j, k_hat)
-
-
-def frame_uncertainty(tables: UncertaintyTables, i: int, j: int, k: int) -> float:
-    _check_index(tables.u_q.shape[0], i, "query")
-    _check_index(tables.u_v.shape[0], j, "video")
-    _check_index(tables.u_v.shape[1], k, "frame")
-    return (tables.u_q[i] + tables.u_v[j, k]) / 2.0
 
 
 def pair_uncertainties(u_q, u_v, best):
@@ -176,17 +139,7 @@ def detect_video_ambiguity(batch, scores, best_frames,
     pos = v_idx[:, None] == v_idx[None, :]
     u = (tables.u_q[q_idx][:, None] + tables.u_v[v_idx[None, :], best_frames]) / 2.0
     amb = (~pos) & (scores > thresholds.tau_s) & (u > thresholds.tau_u)
-    neg = (~pos) & (~amb)
-
-    return AmbiguitySets(
-        batch=list(batch),
-        video_sets=[list(np.nonzero(amb[i])[0]) for i in range(len(batch))],
-        query_sets=[list(np.nonzero(amb[:, j])[0]) for j in range(len(batch))],
-        negative_video_sets=[list(np.nonzero(neg[i])[0]) for i in range(len(batch))],
-        negative_query_sets=[list(np.nonzero(neg[:, j])[0]) for j in range(len(batch))],
-        pos=pos,
-        amb=amb,
-    )
+    return AmbiguitySets(batch=list(batch), pos=pos, amb=amb)
 
 
 def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,
@@ -218,8 +171,5 @@ def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,
     amb_q = unpaired & (sel > thresholds.tau_s) & (u_sel > thresholds.tau_u)
     neg_q = unpaired & ~amb_q
 
-    return FrameSets(best_frame=best,
-                     amb_frames=_mask_rows(amb_f), neg_frames=_mask_rows(neg_f),
-                     amb_queries=_mask_rows(amb_q), neg_queries=_mask_rows(neg_q),
-                     amb_frame_mask=amb_f, neg_frame_mask=neg_f,
+    return FrameSets(best_frame=best, amb_frame_mask=amb_f, neg_frame_mask=neg_f,
                      amb_query_mask=amb_q, neg_query_mask=neg_q)

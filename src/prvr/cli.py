@@ -12,22 +12,14 @@ import csv
 import json
 import os
 import sys
-from contextlib import contextmanager
-
-import numpy as np
 
 from .config import (apply_overrides, corpus_spec_from, parse_kv_file,
                      resolved_lines, train_config_from)
-from .corpus import generate_synthetic, read_corpus, write_corpus
+from .corpus import _atomic_open, generate_synthetic, read_corpus, write_corpus
 from .errors import ConfigError, DimensionError, FormatError, NumericalError
 from .evaluation import audit, evaluate
 from .gradcheck import REL_TOL, run_suite
-from .trainer import check_corpus_dims, checkpoint, resume, train
-
-LOG_COLUMNS = ("epoch", "branch", "phase", "tau_s", "tau_u",
-               "nce_t2v", "nce_v2t", "trip_a", "trip_n",
-               "video_total", "frame_total", "grand_total",
-               "amb_videos", "neg_videos", "amb_frames")
+from .trainer import LOG_COLUMNS, check_corpus_dims, checkpoint, resume, train
 
 
 def _fmt(value):
@@ -41,25 +33,6 @@ def _fmt(value):
 def _print_resolved(pairs):
     for line in pairs:
         print(f"config {line}")
-
-
-@contextmanager
-def _atomic_open(path, newline=None):
-    """Text file handle whose contents replace `path` only once fully written.
-
-    Writes go to a temp file in the same directory, renamed over `path`
-    on success and removed on failure, so a failed write leaves any
-    earlier file intact.
-    """
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, "w", newline=newline, encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def _require_file(path, what):
@@ -86,10 +59,10 @@ def cmd_train(args):
     entries = apply_overrides(parse_kv_file(args.config), args.set)
     cfg = train_config_from(entries)
     corpus = read_corpus(args.corpus)
-    lines = resolved_lines(cfg, loss=cfg.loss)
+    lines = resolved_lines(cfg)
     _print_resolved(lines)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "config.resolved"), "w", encoding="utf-8") as fh:
+    with _atomic_open(os.path.join(args.out, "config.resolved")) as fh:
         fh.write("\n".join(lines) + "\n")
 
     state, log_rows = train(corpus, cfg)
@@ -97,7 +70,7 @@ def cmd_train(args):
     ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
     checkpoint(state, ckpt_path)
     log_path = os.path.join(args.out, "training_log.csv")
-    with open(log_path, "w", newline="", encoding="utf-8") as fh:
+    with _atomic_open(log_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(LOG_COLUMNS)
         for row in log_rows:

@@ -2,31 +2,60 @@
 
 Lines are `key = value`; blank lines and #-comments are ignored. Unknown
 keys are rejected so typos fail loudly before any work starts.
+
+The key/type schema of each file is read off its config dataclass, and
+the same value conversion parses the config block of a checkpoint.
 """
+
+from dataclasses import dataclass, field, fields
 
 from .corpus import CorpusSpec
 from .errors import ConfigError
 from .losses import LossConfig
-from .trainer import TrainConfig
 
-CORPUS_KEYS = {
-    "n_q": int, "n_v": int, "l_q": int, "l_v": int, "d_t": int, "d_v": int,
-    "seed": int, "segments_per_video": int,
-    "ambiguity_rate": float, "noise_scale": float,
-}
 
-TRAIN_KEYS = {
-    "epochs": int, "batch_size": int, "warmup_epochs": int,
-    "learning_rate": float, "adam_beta1": float, "adam_beta2": float,
-    "adam_eps": float, "weight_decay": float, "seed": int,
-    "cross_model": bool, "video_lad": bool, "frame_lad": bool,
-    "embed_dim": int,
-}
+@dataclass(frozen=True)
+class TrainConfig:
+    epochs: int = 30
+    batch_size: int = 32
+    warmup_epochs: int = 3
+    learning_rate: float = 2e-3
+    adam_beta1: float = 0.9
+    adam_beta2: float = 0.999
+    adam_eps: float = 1e-8
+    weight_decay: float = 0.0
+    seed: int = 0
+    cross_model: bool = True
+    video_lad: bool = True
+    frame_lad: bool = True
+    embed_dim: int = 64
+    loss: LossConfig = field(default_factory=LossConfig)
 
-LOSS_KEYS = {
-    "margin_m": float, "margin_ma": float,
-    "lambda_nce": float, "temperature": float,
-}
+    def validate(self):
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be >= 2 (contrastive losses need an unpaired member)")
+        if self.warmup_epochs < 0 or self.epochs < self.warmup_epochs:
+            raise ConfigError("need epochs >= warmup_epochs >= 0")
+        if self.learning_rate < 0:
+            raise ConfigError("learning_rate must be nonnegative")
+        for b in (self.adam_beta1, self.adam_beta2):
+            if not 0.0 <= b < 1.0:
+                raise ConfigError("adam betas must be in [0, 1)")
+        if self.adam_eps <= 0:
+            raise ConfigError("adam_eps must be positive")
+        if self.embed_dim <= 0:
+            raise ConfigError("embed_dim must be positive")
+        self.loss.validate()
+
+
+def _schema(cls) -> dict:
+    """{field name: type} of a config dataclass, in declaration order."""
+    return {f.name: f.type for f in fields(cls) if f.name != "loss"}
+
+
+CORPUS_KEYS = _schema(CorpusSpec)
+TRAIN_KEYS = _schema(TrainConfig)
+LOSS_KEYS = _schema(LossConfig)
 
 
 def parse_kv_file(path) -> dict:
@@ -84,21 +113,42 @@ def corpus_spec_from(entries: dict) -> CorpusSpec:
     return spec
 
 
-def train_config_from(entries: dict) -> TrainConfig:
-    schema = dict(TRAIN_KEYS, **LOSS_KEYS)
-    typed = _typed(entries, schema, "training")
+def _train_config(entries: dict) -> TrainConfig:
+    typed = _typed(entries, dict(TRAIN_KEYS, **LOSS_KEYS), "training")
     loss_kwargs = {k: typed.pop(k) for k in LOSS_KEYS if k in typed}
-    cfg = TrainConfig(loss=LossConfig(**loss_kwargs), **typed)
+    return TrainConfig(loss=LossConfig(**loss_kwargs), **typed)
+
+
+def train_config_from(entries: dict) -> TrainConfig:
+    cfg = _train_config(entries)
     cfg.validate()
     return cfg
 
 
-def resolved_lines(obj, loss: LossConfig = None):
-    """Render a config dataclass back to sorted key=value lines."""
-    items = {k: getattr(obj, k) for k in vars(obj) if k != "loss"} \
-        if not hasattr(obj, "__dataclass_fields__") else \
-        {k: getattr(obj, k) for k in obj.__dataclass_fields__ if k != "loss"}
-    lines = [f"{k}={items[k]}" for k in sorted(items)]
-    if loss is not None:
-        lines += [f"{k}={getattr(loss, k)}" for k in sorted(LOSS_KEYS)]
+def train_config_text(cfg: TrainConfig) -> str:
+    """Every field as key=repr lines in declaration order, loss fields
+    prefixed "loss."; the config block of a checkpoint."""
+    lines = [f"{k}={getattr(cfg, k)!r}" for k in TRAIN_KEYS]
+    lines += [f"loss.{k}={getattr(cfg.loss, k)!r}" for k in LOSS_KEYS]
+    return "\n".join(lines)
+
+
+def train_config_from_text(text: str) -> TrainConfig:
+    """Inverse of train_config_text; every key must be present."""
+    entries = {}
+    for line in text.splitlines():
+        key, _, raw = line.partition("=")
+        entries[key.removeprefix("loss.")] = raw
+    missing = (TRAIN_KEYS.keys() | LOSS_KEYS.keys()) - entries.keys()
+    if missing:
+        raise ConfigError(f"missing key(s): {', '.join(sorted(missing))}")
+    return _train_config(entries)
+
+
+def resolved_lines(cfg):
+    """Render a CorpusSpec or TrainConfig back to sorted key=value lines;
+    a TrainConfig's loss keys follow, sorted among themselves."""
+    lines = [f"{k}={getattr(cfg, k)}" for k in sorted(_schema(type(cfg)))]
+    if isinstance(cfg, TrainConfig):
+        lines += [f"{k}={getattr(cfg.loss, k)}" for k in sorted(LOSS_KEYS)]
     return lines

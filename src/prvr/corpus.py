@@ -18,7 +18,9 @@ File layout (little-endian):
 flags: bit 0 = test split, bit 1 = planted-ambiguity list present.
 """
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -245,6 +247,26 @@ def _read_exact(fh, n, fieldname):
     return data
 
 
+@contextmanager
+def _atomic_open(path, mode="w", newline=None):
+    """File handle whose contents replace `path` only once fully written.
+
+    Writes go to a temp file in the same directory, renamed over `path`
+    on success and removed on failure, so a failed write leaves any
+    earlier file intact. Text modes write UTF-8; "wb" writes bytes.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode, newline=newline,
+                  encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_corpus(corpus: FeatureCorpus, path) -> None:
     corpus.validate()
     flags = 0
@@ -257,7 +279,7 @@ def write_corpus(corpus: FeatureCorpus, path) -> None:
         corpus.n_q, corpus.n_v, corpus.l_q, corpus.l_v,
         corpus.d_t, corpus.d_v, flags,
     )
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(header)
         fh.write(np.ascontiguousarray(corpus.text_features, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(corpus.video_features, dtype="<f4").tobytes())

@@ -14,9 +14,8 @@ import numpy as np
 
 from .ambiguity import pair_uncertainties
 from .corpus import FeatureCorpus
-from .encoder import encode_text, encode_video
 from .errors import ConfigError
-from .similarity import retrieval_score, score_corpus
+from .similarity import score_corpus
 from .trainer import DualBranchState
 
 RECALL_KS = (1, 5, 10, 100)
@@ -49,15 +48,6 @@ class AuditReport:
     f1: float
     lad_defined: bool
     planted_count: int = 0
-
-
-def fused_score(theta_params, phi_params, q_features, v_features) -> float:
-    """Average of the two branches' retrieval scores for one pair."""
-    s_t, _ = retrieval_score(encode_text(theta_params, q_features),
-                             encode_video(theta_params, v_features))
-    s_p, _ = retrieval_score(encode_text(phi_params, q_features),
-                             encode_video(phi_params, v_features))
-    return (s_t + s_p) / 2.0
 
 
 def _branch_scores(params, corpus: FeatureCorpus, epoch: int, uncertainty: bool):

@@ -81,7 +81,7 @@ def _nce_vectors(scores, sets: AmbiguitySets, temperature):
     flat = ad.reshape(e, (b * b,))
     diag = ad.take(flat, np.arange(b) * (b + 1))
     amb_mask = sets.amb.astype(np.float64)
-    neg_mask = ((~sets.pos) & (~sets.amb)).astype(np.float64)
+    neg_mask = sets.neg.astype(np.float64)
     return (_contrast(diag, e, amb_mask, neg_mask, axis=1),
             _contrast(diag, e, amb_mask, neg_mask, axis=0))
 
@@ -132,7 +132,7 @@ def loss_triplet(scores, sets: AmbiguitySets, margin, mode):
     if mode == "ambiguous":
         mask = sets.amb
     elif mode == "negative":
-        mask = (~sets.pos) & (~sets.amb)
+        mask = sets.neg
     else:
         raise ConfigError(f"unknown triplet mode {mode!r}")
     b = len(sets.batch)
@@ -207,20 +207,9 @@ def loss_frame(frame_sims, frames: FrameSets, cfg: LossConfig):
 
 def forced_negative_sets(batch) -> AmbiguitySets:
     """Video-level sets with every non-positive slot treated as negative."""
-    b = len(batch)
     v_idx = np.asarray([v for _, v in batch])
     pos = v_idx[:, None] == v_idx[None, :]
-    amb = np.zeros((b, b), dtype=bool)
-    neg = ~pos
-    return AmbiguitySets(
-        batch=list(batch),
-        video_sets=[[] for _ in range(b)],
-        query_sets=[[] for _ in range(b)],
-        negative_video_sets=[list(np.nonzero(neg[i])[0]) for i in range(b)],
-        negative_query_sets=[list(np.nonzero(neg[:, j])[0]) for j in range(b)],
-        pos=pos,
-        amb=amb,
-    )
+    return AmbiguitySets(batch=list(batch), pos=pos, amb=np.zeros_like(pos))
 
 
 def loss_warmup(scores, batch, cfg: LossConfig):

@@ -71,24 +71,6 @@ def frame_similarity(q, v) -> float:
     return float(((q / qn) * (v / vn)).sum())
 
 
-def retrieval_score(q, v_frames):
-    """Max frame cosine and its frame index (ties -> lowest index)."""
-    sims = cosine_rows(q, v_frames)
-    k = int(np.argmax(sims))
-    return float(sims[k]), k
-
-
-def cosine_rows(q, v_frames):
-    """Cosines between one query (d,) and a stack of frames (..., d)."""
-    q = np.asarray(ad.val(q), dtype=np.float64)
-    f = np.asarray(ad.val(v_frames), dtype=np.float64)
-    qn = np.sqrt((q * q).sum())
-    fn = np.sqrt((f * f).sum(axis=-1, keepdims=True))
-    if qn == 0.0 or np.any(fn == 0.0):
-        raise NumericalError("cosine similarity of a zero vector is undefined")
-    return ((q / qn) * (f / fn)).sum(axis=-1)
-
-
 def _unit_dots(qu, fu):
     """Dots (n, m, L) between unit queries (n, d) and unit frames (m, L, d).
 

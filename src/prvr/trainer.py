@@ -14,56 +14,29 @@ optimizer moments to reproduce the remaining trajectory exactly.
 """
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .ambiguity import corpus_thresholds, detect_frame_ambiguity, detect_video_ambiguity
-from .corpus import FeatureCorpus
+from .config import TrainConfig, train_config_from_text, train_config_text
+from .corpus import FeatureCorpus, _atomic_open
 from .encoder import EncoderDims, EncoderParams, collect_tape, encode_text, encode_video, wrap_params
 from .errors import ConfigError, DimensionError, FormatError, NumericalError
-from .losses import (LossConfig, breakdown, forced_negative_sets, grand_total,
-                     loss_frame, loss_video, loss_warmup)
+from .losses import (LossBreakdown, breakdown, forced_negative_sets, grand_total,
+                     loss_frame, loss_video)
 from .similarity import cosine_pairs
 
 CKPT_MAGIC = b"PRVK"
 CKPT_VERSION = 1
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
-
-@dataclass(frozen=True)
-class TrainConfig:
-    epochs: int = 30
-    batch_size: int = 32
-    warmup_epochs: int = 3
-    learning_rate: float = 2e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
-    seed: int = 0
-    cross_model: bool = True
-    video_lad: bool = True
-    frame_lad: bool = True
-    embed_dim: int = 64
-    loss: LossConfig = field(default_factory=LossConfig)
-
-    def validate(self):
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be >= 2 (contrastive losses need an unpaired member)")
-        if self.warmup_epochs < 0 or self.epochs < self.warmup_epochs:
-            raise ConfigError("need epochs >= warmup_epochs >= 0")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be nonnegative")
-        for b in (self.adam_beta1, self.adam_beta2):
-            if not 0.0 <= b < 1.0:
-                raise ConfigError("adam betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigError("adam_eps must be positive")
-        if self.embed_dim <= 0:
-            raise ConfigError("embed_dim must be positive")
-        self.loss.validate()
+# Logged per branch as means over an epoch's batches: the loss components,
+# then the detected-set sizes per pair.
+_SUM_COLUMNS = tuple(f.name for f in fields(LossBreakdown)) + (
+    "amb_videos", "neg_videos", "amb_frames")
+LOG_COLUMNS = ("epoch", "branch", "phase", "tau_s", "tau_u") + _SUM_COLUMNS
 
 
 @dataclass
@@ -159,6 +132,21 @@ def _adam_update(branch: BranchState, tape, cfg: TrainConfig):
         p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
 
 
+def _update(branch: BranchState, wrapped, frame_sims, scores, sets, cfg: TrainConfig):
+    """The per-branch update body shared by step and train: loss on `sets`
+    from the branch's forward, finiteness check, tape, Adam step."""
+    video_sets, frame_sets = sets
+    video_parts = loss_video(scores, video_sets, cfg.loss)
+    frame_parts = (loss_frame(frame_sims, frame_sets, cfg.loss)
+                   if frame_sets is not None else {"total": 0.0})
+    total = grand_total(video_parts, frame_parts)
+    if not np.isfinite(ad.val(total)):
+        raise NumericalError("non-finite training loss")
+    tape = collect_tape(wrapped, total)
+    _adam_update(branch, tape, cfg)
+    return breakdown(video_parts, frame_parts), tape
+
+
 def step(corpus: FeatureCorpus, pairs, sets, branch: BranchState, cfg: TrainConfig):
     """One optimizer step for one branch on the given (possibly peer) sets.
 
@@ -169,18 +157,7 @@ def step(corpus: FeatureCorpus, pairs, sets, branch: BranchState, cfg: TrainConf
     wrapped = wrap_params(branch.params)
     frame_sims, scores, _ = _forward_batch(wrapped, branch.params.dims, corpus.text_features,
                                            corpus.video_features, pairs)
-    video_sets, frame_sets = sets
-    video_parts = loss_video(scores, video_sets, cfg.loss)
-    if frame_sets is not None:
-        frame_parts = loss_frame(frame_sims, frame_sets, cfg.loss)
-    else:
-        frame_parts = {"total": 0.0}
-    total = grand_total(video_parts, frame_parts)
-    if not np.isfinite(ad.val(total)):
-        raise NumericalError("non-finite training loss")
-    tape = collect_tape(wrapped, total)
-    _adam_update(branch, tape, cfg)
-    return breakdown(video_parts, frame_parts), tape
+    return _update(branch, wrapped, frame_sims, scores, sets, cfg)
 
 
 def _epoch_batches(n_q, cfg: TrainConfig, epoch: int):
@@ -214,37 +191,28 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
     log_rows = []
 
     for epoch in range(state.epoch + 1, cfg.epochs + 1):
-        lad_possible = cfg.video_lad or cfg.frame_lad
-        lad_active = epoch > cfg.warmup_epochs and lad_possible
+        lad_active = epoch > cfg.warmup_epochs and (cfg.video_lad or cfg.frame_lad)
+        # per branch (UncertaintyTables, Thresholds), or Nones in warmup
+        epoch_ctx = [corpus_thresholds(branch.params, corpus, epoch) if lad_active
+                     else (None, None) for branch in branches]
 
-        epoch_ctx = []
-        for branch in branches:
-            ctx = {"tables": None, "thresholds": None}
-            if lad_active:
-                ctx["tables"], ctx["thresholds"] = corpus_thresholds(branch.params, corpus, epoch)
-            epoch_ctx.append(ctx)
-
-        sums = [dict.fromkeys(
-            ("nce_t2v", "nce_v2t", "trip_a", "trip_n", "video_total",
-             "frame_total", "grand_total", "amb_videos", "neg_videos",
-             "amb_frames"), 0.0) for _ in branches]
+        sums = [dict.fromkeys(_SUM_COLUMNS, 0.0) for _ in branches]
 
         batches = _epoch_batches(corpus.n_q, cfg, epoch)
         for bi, batch_idx in enumerate(batches):
             pairs = [(int(i), int(corpus.pairing[i])) for i in batch_idx]
 
             fwd, detected = [], []
-            for branch, ctx in zip(branches, epoch_ctx):
+            for branch, (tables, thr) in zip(branches, epoch_ctx):
                 wrapped = wrap_params(branch.params)
                 frame_sims, scores, best = _forward_batch(wrapped, dims, corpus.text_features,
                                                          corpus.video_features, pairs)
                 fwd.append((wrapped, frame_sims, scores))
                 if lad_active:
                     sval = np.asarray(ad.val(scores))
-                    vsets = (detect_video_ambiguity(pairs, sval, best, ctx["tables"], ctx["thresholds"])
+                    vsets = (detect_video_ambiguity(pairs, sval, best, tables, thr)
                              if cfg.video_lad else forced_negative_sets(pairs))
-                    fsets = (detect_frame_ambiguity(pairs, ad.val(frame_sims),
-                                                    ctx["tables"], ctx["thresholds"])
+                    fsets = (detect_frame_ambiguity(pairs, ad.val(frame_sims), tables, thr)
                              if cfg.frame_lad else None)
                 else:
                     vsets, fsets = forced_negative_sets(pairs), None
@@ -252,35 +220,24 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
 
             for b_i, (branch, (wrapped, frame_sims, scores)) in enumerate(zip(branches, fwd)):
                 use = detected[1 - b_i] if (lad_active and cfg.cross_model) else detected[b_i]
-                vsets, fsets = use
-                if lad_active:
-                    video_parts = loss_video(scores, vsets, cfg.loss)
-                    frame_parts = loss_frame(frame_sims, fsets, cfg.loss) \
-                        if fsets is not None else {"total": 0.0}
-                else:
-                    video_parts = loss_warmup(scores, pairs, cfg.loss)
-                    frame_parts = {"total": 0.0}
-                total = grand_total(video_parts, frame_parts)
-                if not np.isfinite(ad.val(total)):
-                    raise NumericalError(f"non-finite loss at epoch {epoch} batch {bi}")
-                tape = collect_tape(wrapped, total)
-                _adam_update(branch, tape, cfg)
+                try:
+                    bd, _ = _update(branch, wrapped, frame_sims, scores, use, cfg)
+                except NumericalError as exc:
+                    raise NumericalError(f"{exc} at epoch {epoch} batch {bi}") from exc
 
-                bd = breakdown(video_parts, frame_parts)
                 s = sums[b_i]
-                for k in ("nce_t2v", "nce_v2t", "trip_a", "trip_n",
-                          "video_total", "frame_total", "grand_total"):
-                    s[k] += getattr(bd, k)
+                for k, v in vars(bd).items():
+                    s[k] += v
                 own_v, own_f = detected[b_i]
                 b = len(pairs)
                 s["amb_videos"] += float(own_v.amb.sum()) / b
-                s["neg_videos"] += float(((~own_v.pos) & (~own_v.amb)).sum()) / b
+                s["neg_videos"] += float(own_v.neg.sum()) / b
                 if own_f is not None:
-                    s["amb_frames"] += sum(len(a) for a in own_f.amb_frames) / b
+                    s["amb_frames"] += float(own_f.amb_frame_mask.sum()) / b
 
         n_b = max(len(batches), 1)
         for b_i, name in enumerate(("theta", "phi")):
-            thr = epoch_ctx[b_i]["thresholds"]
+            _, thr = epoch_ctx[b_i]
             row = {"epoch": epoch, "branch": name,
                    "phase": "arl" if lad_active else "warmup",
                    "tau_s": thr.tau_s if thr else None,
@@ -293,39 +250,6 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
 
 
 # --- checkpoint format -------------------------------------------------
-
-_CFG_FIELDS = (
-    ("epochs", int), ("batch_size", int), ("warmup_epochs", int),
-    ("learning_rate", float), ("adam_beta1", float), ("adam_beta2", float),
-    ("adam_eps", float), ("weight_decay", float), ("seed", int),
-    ("cross_model", bool), ("video_lad", bool), ("frame_lad", bool),
-    ("embed_dim", int),
-)
-_LOSS_FIELDS = (
-    ("margin_m", float), ("margin_ma", float),
-    ("lambda_nce", float), ("temperature", float),
-)
-
-
-def _cfg_to_text(cfg: TrainConfig) -> str:
-    lines = [f"{k}={getattr(cfg, k)!r}" for k, _ in _CFG_FIELDS]
-    lines += [f"loss.{k}={getattr(cfg.loss, k)!r}" for k, _ in _LOSS_FIELDS]
-    return "\n".join(lines)
-
-
-def _cfg_from_text(text: str) -> TrainConfig:
-    entries = {}
-    for line in text.splitlines():
-        key, _, raw = line.partition("=")
-        entries[key] = raw
-    def parse(key, typ):
-        raw = entries[key]
-        if typ is bool:
-            return raw == "True"
-        return typ(raw)
-    loss = LossConfig(**{k: parse(f"loss.{k}", t) for k, t in _LOSS_FIELDS})
-    return TrainConfig(loss=loss, **{k: parse(k, t) for k, t in _CFG_FIELDS})
-
 
 def _write_branch(fh, branch: BranchState):
     fh.write(struct.pack("<Q", branch.adam.t))
@@ -358,9 +282,9 @@ def _read_branch(fh, dims: EncoderDims) -> BranchState:
 
 def checkpoint(state: DualBranchState, path) -> None:
     """Serialize the full training state (pure w.r.t. state)."""
-    cfg_blob = _cfg_to_text(state.cfg).encode("utf-8")
+    cfg_blob = train_config_text(state.cfg).encode("utf-8")
     dims = state.theta.params.dims
-    with open(path, "wb") as fh:
+    with _atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", CKPT_MAGIC, CKPT_VERSION))
         fh.write(struct.pack("<I", len(cfg_blob)))
         fh.write(cfg_blob)
@@ -389,8 +313,8 @@ def resume(path) -> DualBranchState:
         if len(cfg_blob) != cfg_len:
             raise FormatError("config block: file truncated")
         try:
-            cfg = _cfg_from_text(cfg_blob.decode("utf-8"))
-        except (KeyError, ValueError) as exc:
+            cfg = train_config_from_text(cfg_blob.decode("utf-8"))
+        except (ConfigError, ValueError) as exc:
             raise FormatError(f"config block: {exc}") from exc
         raw = fh.read(20)
         if len(raw) != 20:

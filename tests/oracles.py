@@ -88,18 +88,16 @@ def direct_uncertainty(m):
 
 
 # --- per-pair loop losses ------------------------------------------------
-# The library computes these over boolean masks; the loops below walk the
-# index lists of the sets one pair at a time, gathering one scalar per set
-# member, and build the same autodiff graph values so gradients compare too.
+# The library computes these over boolean masks; the loops below walk each
+# mask row's member indices one pair at a time, gathering one scalar per
+# set member, and build the same autodiff graph values so gradients
+# compare too.
 
 def loop_loss_triplet(scores, sets, margin, mode):
     """Triplet hinge against the hardest set member, one pair at a time."""
     from prvr import autodiff as ad
 
-    if mode == "ambiguous":
-        mask = sets.amb
-    else:
-        mask = (~sets.pos) & (~sets.amb)
+    mask = sets.amb if mode == "ambiguous" else (~sets.pos) & (~sets.amb)
     b = len(sets.batch)
     sv = np.asarray(ad.val(scores), dtype=np.float64)
     flat = ad.reshape(scores, (b * b,))
@@ -124,7 +122,7 @@ def loop_loss_triplet(scores, sets, margin, mode):
 
 
 def loop_loss_frame(frame_sims, frames, cfg):
-    """Frame-level objective from the index lists of FrameSets, pair by pair."""
+    """Frame-level objective from the member indices of FrameSets, pair by pair."""
     from prvr import autodiff as ad
 
     def gather_scalar(flat, idx):
@@ -153,32 +151,36 @@ def loop_loss_frame(frame_sims, frames, cfg):
         k_hat = int(frames.best_frame[p])
         anchor = fidx(p, p, k_hat)
         e_anchor = gather_scalar(e_flat, anchor)
+        amb_frames, neg_frames, amb_queries, neg_queries = (
+            np.flatnonzero(mask[p]) for mask in (
+                frames.amb_frame_mask, frames.neg_frame_mask,
+                frames.amb_query_mask, frames.neg_query_mask))
 
         # text -> frames within the paired video
-        amb_f = [fidx(p, p, k) for k in frames.amb_frames[p]]
-        neg_f = [fidx(p, p, k) for k in frames.neg_frames[p]]
+        amb_f = [fidx(p, p, k) for k in amb_frames]
+        neg_f = [fidx(p, p, k) for k in neg_frames]
         num = ad.add(e_anchor, gather_sum(e_flat, amb_f))
         den = ad.add(num, gather_sum(e_flat, neg_f))
         nce_sum = ad.add(nce_sum, ad.sub(ad.log(den), ad.log(num)))
 
         # selected frame -> batch queries
-        amb_q = [fidx(x, p, k_hat) for x in frames.amb_queries[p]]
-        neg_q = [fidx(x, p, k_hat) for x in frames.neg_queries[p]]
+        amb_q = [fidx(x, p, k_hat) for x in amb_queries]
+        neg_q = [fidx(x, p, k_hat) for x in neg_queries]
         num_q = ad.add(e_anchor, gather_sum(e_flat, amb_q))
         den_q = ad.add(num_q, gather_sum(e_flat, neg_q))
         nce_sum = ad.add(nce_sum, ad.sub(ad.log(den_q), ad.log(num_q)))
 
         # hardest-in-set triplets, both directions
-        for idxs, sel, base in ((frames.amb_frames[p], sel_a, base_a),
-                                (frames.neg_frames[p], sel_n, base_n)):
-            if idxs:
+        for idxs, sel, base in ((amb_frames, sel_a, base_a),
+                                (neg_frames, sel_n, base_n)):
+            if len(idxs):
                 k_star = idxs[int(np.argmax(fv[p, p, idxs]))]
                 sel.append(fidx(p, p, k_star))
                 base.append(anchor)
-        for idxs, sel, base in ((frames.amb_queries[p], sel_a, base_a),
-                                (frames.neg_queries[p], sel_n, base_n)):
-            if idxs:
-                x_star = idxs[int(np.argmax(fv[idxs, p, frames.best_frame[p]]))]
+        for idxs, sel, base in ((amb_queries, sel_a, base_a),
+                                (neg_queries, sel_n, base_n)):
+            if len(idxs):
+                x_star = idxs[int(np.argmax(fv[idxs, p, k_hat]))]
                 sel.append(fidx(x_star, p, k_hat))
                 base.append(anchor)
 
@@ -193,6 +195,55 @@ def loop_loss_frame(frame_sims, frames, cfg):
     trip_n = hinge_total(sel_n, base_n, cfg.margin_m)
     total = ad.add(ad.add(ad.mul(nce, cfg.lambda_nce), trip_a), trip_n)
     return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
+
+
+# --- per-pair scoring ------------------------------------------------------
+# One (query, video) pair or one table entry at a time, against which the
+# library's batched and corpus-wide paths are checked.
+
+def _check_index(n, i, what):
+    if not 0 <= i < n:
+        raise IndexError(f"{what} index {i} out of range [0, {n})")
+
+
+def frame_uncertainty(tables, i, j, k):
+    """Uncertainty of query i against frame k of video j."""
+    _check_index(tables.u_q.shape[0], i, "query")
+    _check_index(tables.u_v.shape[0], j, "video")
+    _check_index(tables.u_v.shape[1], k, "frame")
+    return (tables.u_q[i] + tables.u_v[j, k]) / 2.0
+
+
+def cosine_rows(q, v_frames):
+    """Cosines between one query (d,) and a stack of frames (..., d)."""
+    from prvr import autodiff as ad
+    from prvr.errors import NumericalError
+
+    q = np.asarray(ad.val(q), dtype=np.float64)
+    f = np.asarray(ad.val(v_frames), dtype=np.float64)
+    qn = np.sqrt((q * q).sum())
+    fn = np.sqrt((f * f).sum(axis=-1, keepdims=True))
+    if qn == 0.0 or np.any(fn == 0.0):
+        raise NumericalError("cosine similarity of a zero vector is undefined")
+    return ((q / qn) * (f / fn)).sum(axis=-1)
+
+
+def retrieval_score(q, v_frames):
+    """Max frame cosine and its frame index (ties -> lowest index)."""
+    sims = cosine_rows(q, v_frames)
+    k = int(np.argmax(sims))
+    return float(sims[k]), k
+
+
+def fused_score(theta_params, phi_params, q_features, v_features):
+    """Average of the two branches' retrieval scores for one pair."""
+    from prvr.encoder import encode_text, encode_video
+
+    s_t, _ = retrieval_score(encode_text(theta_params, q_features),
+                             encode_video(theta_params, v_features))
+    s_p, _ = retrieval_score(encode_text(phi_params, q_features),
+                             encode_video(phi_params, v_features))
+    return (s_t + s_p) / 2.0
 
 
 # --- dense-map corpus scoring ---------------------------------------------

@@ -5,12 +5,13 @@ import pytest
 
 from prvr.ambiguity import (Thresholds, UncertaintyTables, compute_thresholds,
                             compute_uncertainty, detect_frame_ambiguity,
-                            detect_video_ambiguity, frame_uncertainty,
-                            pair_uncertainty)
+                            detect_video_ambiguity)
 from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.encoder import EncoderDims, EncoderParams
 from prvr.errors import ConfigError
 from prvr.similarity import CorpusSimilarityMap, build_corpus_map, map_retrieval_scores
+
+from tests.oracles import frame_uncertainty
 
 
 def make_map(m, epoch=0):
@@ -59,13 +60,13 @@ def test_uncertainty_matches_loop_oracle():
 def test_pair_and_frame_uncertainty_arithmetic():
     t = UncertaintyTables(u_q=np.array([0.4, 0.0]),
                           u_v=np.array([[0.2, 0.6], [0.4, -0.2]]), epoch=0)
-    assert pair_uncertainty(t, 0, 0, 0) == pytest.approx(0.3)
-    assert frame_uncertainty(t, 0, 0, 0) == pair_uncertainty(t, 0, 0, 0)
+    # a pair's uncertainty is the frame uncertainty at its best frame
+    assert frame_uncertainty(t, 0, 0, 0) == pytest.approx(0.3)
     assert frame_uncertainty(t, 1, 1, 0) == pytest.approx(0.2)
     # u_q == u_v entry -> result equals that value
     assert frame_uncertainty(t, 0, 1, 0) == pytest.approx(0.4)
     with pytest.raises(IndexError):
-        pair_uncertainty(t, 5, 0, 0)
+        frame_uncertainty(t, 5, 0, 0)
     with pytest.raises(IndexError):
         frame_uncertainty(t, 0, 0, 9)
 
@@ -153,9 +154,9 @@ def test_video_detection_matches_brute_force():
         batch, scores, best, tables, thr = random_batch(rng, b, l_v=5, n_q=20, n_v=10)
         sets = detect_video_ambiguity(batch, scores, best, tables, thr)
         want = brute_force_video_sets(batch, scores, best, tables, thr)
-        got = {(i, j) for i in range(b) for j in sets.video_sets[i]}
+        got = {(i, j) for i in range(b) for j in np.nonzero(sets.amb[i])[0]}
         assert got == want
-        got_cols = {(i, j) for j in range(b) for i in sets.query_sets[j]}
+        got_cols = {(i, j) for j in range(b) for i in np.nonzero(sets.amb[:, j])[0]}
         assert got_cols == want
 
 
@@ -167,8 +168,8 @@ def test_detection_partition_and_exclusions():
         sets = detect_video_ambiguity(batch, scores, best, tables, thr)
         v_idx = [v for _, v in batch]
         for i in range(b):
-            amb = set(sets.video_sets[i])
-            neg = set(sets.negative_video_sets[i])
+            amb = set(np.nonzero(sets.amb[i])[0])
+            neg = set(np.nonzero(sets.neg[i])[0])
             pos = {j for j in range(b) if v_idx[j] == v_idx[i]}
             assert amb & neg == set()
             assert amb & pos == set()
@@ -181,11 +182,11 @@ def test_threshold_saturation_empties_ambiguous_sets():
     batch, scores, best, tables, _ = random_batch(rng, 5, l_v=3)
     thr = Thresholds(tau_s=2.0, tau_u=2.0, epoch=0)  # above every possible value
     sets = detect_video_ambiguity(batch, scores, best, tables, thr)
-    assert all(not s for s in sets.video_sets)
+    assert not sets.amb.any()
     v_idx = [v for _, v in batch]
     for i in range(5):
         unpaired = {j for j in range(5) if v_idx[j] != v_idx[i]}
-        assert set(sets.negative_video_sets[i]) == unpaired
+        assert set(np.nonzero(sets.neg[i])[0]) == unpaired
 
 
 def test_specific_threshold_scan_example():
@@ -207,8 +208,8 @@ def test_specific_threshold_scan_example():
     u_v[2, 0] = -0.3
     thr = Thresholds(tau_s=0.5, tau_u=0.3, epoch=0)
     sets = detect_video_ambiguity(batch, scores, best, tables, thr)
-    assert sets.video_sets[0] == [1]
-    assert sets.negative_video_sets[0] == [2, 3]
+    assert np.nonzero(sets.amb[0])[0].tolist() == [1]
+    assert np.nonzero(sets.neg[0])[0].tolist() == [2, 3]
 
 
 def test_positive_pair_never_ambiguous_even_above_thresholds():
@@ -218,8 +219,8 @@ def test_positive_pair_never_ambiguous_even_above_thresholds():
     tables = UncertaintyTables(u_q=np.full(2, 0.9), u_v=np.full((2, 1), 0.9), epoch=0)
     thr = Thresholds(tau_s=0.0, tau_u=0.0, epoch=0)
     sets = detect_video_ambiguity(batch, scores, best, tables, thr)
-    assert 0 not in sets.video_sets[0]
-    assert 1 in sets.video_sets[0]
+    assert 0 not in np.nonzero(sets.amb[0])[0]
+    assert 1 in np.nonzero(sets.amb[0])[0]
 
 
 def test_raising_thresholds_is_monotone():
@@ -230,7 +231,7 @@ def test_raising_thresholds_is_monotone():
         thr_hi = Thresholds(tau_s=thr.tau_s + 0.2, tau_u=thr.tau_u + 0.2, epoch=0)
         sets_hi = detect_video_ambiguity(batch, scores, best, tables, thr_hi)
         for i in range(6):
-            assert set(sets_hi.video_sets[i]) <= set(sets_lo.video_sets[i])
+            assert set(np.nonzero(sets_hi.amb[i])[0]) <= set(np.nonzero(sets_lo.amb[i])[0])
 
 
 # --- frame-level detection ----------------------------------------------
@@ -254,12 +255,13 @@ def test_frame_detection_matches_brute_force():
         for p in range(b):
             k_hat, amb, amb_q = want[p]
             assert fsets.best_frame[p] == k_hat
-            assert set(fsets.amb_frames[p]) == amb
-            assert set(fsets.amb_queries[p]) == amb_q
-            assert k_hat not in fsets.amb_frames[p]
-            assert k_hat not in fsets.neg_frames[p]
-            assert set(fsets.amb_frames[p]) | set(fsets.neg_frames[p]) | {k_hat} \
-                == set(range(l_v))
+            amb_f = set(np.nonzero(fsets.amb_frame_mask[p])[0])
+            neg_f = set(np.nonzero(fsets.neg_frame_mask[p])[0])
+            assert amb_f == amb
+            assert set(np.nonzero(fsets.amb_query_mask[p])[0]) == amb_q
+            assert k_hat not in amb_f
+            assert k_hat not in neg_f
+            assert amb_f | neg_f | {k_hat} == set(range(l_v))
 
 
 def test_single_frame_video_has_empty_frame_sets():
@@ -268,8 +270,8 @@ def test_single_frame_video_has_empty_frame_sets():
     tables = UncertaintyTables(u_q=np.zeros(2), u_v=np.zeros((2, 1)), epoch=0)
     thr = Thresholds(tau_s=-2.0, tau_u=-2.0, epoch=0)
     fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
-    assert fsets.amb_frames == [[], []]
-    assert fsets.neg_frames == [[], []]
+    assert fsets.amb_frame_mask.shape == fsets.neg_frame_mask.shape == (2, 1)
+    assert not fsets.amb_frame_mask.any() and not fsets.neg_frame_mask.any()
 
 
 def test_all_frames_equal_best_become_ambiguous_under_low_thresholds():
@@ -279,7 +281,7 @@ def test_all_frames_equal_best_become_ambiguous_under_low_thresholds():
     thr = Thresholds(tau_s=0.1, tau_u=0.1, epoch=0)
     fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
     assert fsets.best_frame[0] == 0
-    assert fsets.amb_frames[0] == [1, 2, 3]
+    assert np.nonzero(fsets.amb_frame_mask[0])[0].tolist() == [1, 2, 3]
 
 
 def test_high_thresholds_make_all_nonbest_frames_negative():
@@ -289,5 +291,5 @@ def test_high_thresholds_make_all_nonbest_frames_negative():
     thr = Thresholds(tau_s=2.0, tau_u=2.0, epoch=0)
     fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
     k_hat = int(fsets.best_frame[0])
-    assert fsets.amb_frames[0] == []
-    assert set(fsets.neg_frames[0]) == set(range(5)) - {k_hat}
+    assert np.nonzero(fsets.amb_frame_mask[0])[0].tolist() == []
+    assert set(np.nonzero(fsets.neg_frame_mask[0])[0]) == set(range(5)) - {k_hat}

@@ -214,23 +214,84 @@ def _fail_csv_mid_write(monkeypatch):
     monkeypatch.setattr(cli, "_fmt", failing_fmt)
 
 
+def _fail_atomic_write_of(name):
+    """Injector: the atomic write of file `name` fails halfway through its
+    first write call."""
+    def _fail_atomic_write(monkeypatch):
+        import prvr.corpus as corpus
+
+        class HalfWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:len(data) // 2])
+                raise OSError(28, "No space left on device")
+
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return HalfWrite(fh) if os.path.basename(path) == f"{name}.tmp" else fh
+        monkeypatch.setattr(corpus, "open", failing_open, raising=False)
+    return _fail_atomic_write
+
+
+def _snapshot(directory):
+    return {f: (directory / f).read_bytes() for f in os.listdir(directory)}
+
+
 @pytest.mark.parametrize("command, name, inject", (
     ("evaluate", "report.json", _fail_json_mid_write),
-    ("audit", "audit.csv", _fail_csv_mid_write)))
+    ("audit", "audit.csv", _fail_csv_mid_write),
+    ("train", "config.resolved", _fail_atomic_write_of("config.resolved")),
+    ("train", "checkpoint.ckpt", _fail_atomic_write_of("checkpoint.ckpt")),
+    ("train", "training_log.csv", _fail_atomic_write_of("training_log.csv")),
+    ("gen-corpus", "c.prvc", _fail_atomic_write_of("c.prvc"))))
 def test_failed_write_keeps_earlier_output(tmp_path, spec_file, train_file, capsys,
                                            monkeypatch, command, name, inject):
     ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    out = out_dir / name
-    argv = [command, "--checkpoint", ckpt, "--corpus", corpus_path, "--out", str(out)]
+    # train writes its three files into --out; the others write --out itself
+    out = out_dir if command == "train" else out_dir / name
+    argv = {"train": ["train", "--corpus", corpus_path, "--config", train_file],
+            "gen-corpus": ["gen-corpus", "--spec", spec_file],
+            }.get(command, [command, "--checkpoint", ckpt, "--corpus", corpus_path])
+    argv += ["--out", str(out)]
     assert main(argv) == 0
-    earlier = out.read_bytes()
+    earlier = _snapshot(out_dir)
+    assert name in earlier
     capsys.readouterr()
 
     inject(monkeypatch)
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("prvr: io-error:")
-    assert out.read_bytes() == earlier
-    assert os.listdir(out_dir) == [name]
+    # every earlier file byte for byte, and no temp file left
+    assert _snapshot(out_dir) == earlier
+
+
+def test_nonfinite_loss_exits_4(tmp_path, spec_file, train_file, capsys, monkeypatch):
+    import prvr.trainer as trainer
+    from prvr import autodiff as ad
+
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    real = trainer.loss_video
+
+    def nan_loss(scores, sets, cfg):
+        parts = real(scores, sets, cfg)
+        parts["total"] = ad.add(parts["total"], float("nan"))
+        return parts
+    monkeypatch.setattr(trainer, "loss_video", nan_loss)
+    capsys.readouterr()
+    assert main(["train", "--corpus", corpus_path, "--config", train_file,
+                 "--out", str(tmp_path / "run")]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: numerical-error:")
+    assert "epoch 1 batch 0" in err[0]

@@ -6,13 +6,12 @@ import pytest
 from prvr.corpus import CorpusSpec, FeatureCorpus, generate_synthetic
 from prvr.encoder import encode_text, encode_video
 from prvr.errors import ConfigError
-from prvr.evaluation import (audit, evaluate, fused_pair_scores, fused_score,
-                             grade_detection, recall_from_scores)
-from prvr.similarity import retrieval_score
+from prvr.evaluation import (audit, evaluate, fused_pair_scores, grade_detection,
+                             recall_from_scores)
 from prvr.trainer import TrainConfig, init_state, train
 
 
-from tests.oracles import exhaustive_recall
+from tests.oracles import exhaustive_recall, fused_score, retrieval_score
 
 
 def make_corpus(**kw):

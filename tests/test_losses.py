@@ -16,26 +16,33 @@ from prvr.losses import (LossConfig, forced_negative_sets, grand_total, loss_fra
 
 def sets_from_masks(batch, amb):
     """Build AmbiguitySets from an explicit ambiguous boolean matrix."""
-    b = len(batch)
     v_idx = np.asarray([v for _, v in batch])
     pos = v_idx[:, None] == v_idx[None, :]
-    amb = np.asarray(amb, dtype=bool) & ~pos
-    neg = ~pos & ~amb
-    return AmbiguitySets(
-        batch=list(batch),
-        video_sets=[list(np.nonzero(amb[i])[0]) for i in range(b)],
-        query_sets=[list(np.nonzero(amb[:, j])[0]) for j in range(b)],
-        negative_video_sets=[list(np.nonzero(neg[i])[0]) for i in range(b)],
-        negative_query_sets=[list(np.nonzero(neg[:, j])[0]) for j in range(b)],
-        pos=pos, amb=amb,
-    )
+    return AmbiguitySets(batch=list(batch), pos=pos, amb=np.asarray(amb, dtype=bool) & ~pos)
+
+
+def frame_sets_from_lists(best, amb_frames, neg_frames, amb_queries, neg_queries, l_v):
+    """Build FrameSets from per-pair index lists, one mask cell per member."""
+    b = len(best)
+
+    def mask(rows, width):
+        m = np.zeros((b, width), dtype=bool)
+        for p, members in enumerate(rows):
+            for k in members:
+                m[p, k] = True
+        return m
+
+    return FrameSets(best_frame=np.asarray(best),
+                     amb_frame_mask=mask(amb_frames, l_v), neg_frame_mask=mask(neg_frames, l_v),
+                     amb_query_mask=mask(amb_queries, b), neg_query_mask=mask(neg_queries, b))
 
 
 def distinct_batch(b):
     return [(i, i) for i in range(b)]
 
 
-from tests.oracles import loop_loss_frame, loop_loss_triplet, reference_single_positive
+from tests.oracles import (brute_force_frame_sets, loop_loss_frame, loop_loss_triplet,
+                           reference_single_positive)
 
 
 def test_uniform_similarities_batch_of_four():
@@ -105,7 +112,7 @@ def test_nce_nonnegative_and_zero_iff_no_negatives():
         for i in range(b):
             v = loss_nce_t2v(i, scores, sets)
             assert v >= 0.0
-            if not sets.negative_video_sets[i]:
+            if not np.nonzero(sets.neg[i])[0].size:
                 assert v == 0.0
             else:
                 assert v > 0.0
@@ -285,8 +292,7 @@ def test_frame_loss_from_brute_force_sets_equals_pipeline_sets():
               and (tables.u_q[x] + tables.u_v[p, k_hat]) / 2 > thr.tau_u]
         ambq.append(aq)
         negq.append([x for x in range(b) if x != p and x not in aq])
-    manual = FrameSets(best_frame=np.array(best), amb_frames=ambf, neg_frames=negf,
-                       amb_queries=ambq, neg_queries=negq)
+    manual = frame_sets_from_lists(best, ambf, negf, ambq, negq, l_v)
 
     cfg = LossConfig()
     a = loss_frame(frame_sims, fsets, cfg)
@@ -353,8 +359,8 @@ def test_duplicate_videos_in_batch_are_masked_as_positives():
                        [0.9, 0.9, 0.2],
                        [0.1, 0.2, 0.8]])
     sets = forced_negative_sets(batch)
-    assert 1 not in sets.negative_video_sets[0]
-    assert 0 not in sets.negative_video_sets[1]
+    assert 1 not in np.nonzero(sets.neg[0])[0]
+    assert 0 not in np.nonzero(sets.neg[1])[0]
     # contrastive for pair 0 only contrasts against video slot 2
     want = -math.log(math.exp(0.9) / (math.exp(0.9) + math.exp(0.1)))
     assert loss_nce_t2v(0, scores, sets) == pytest.approx(want, abs=1e-12)
@@ -386,7 +392,7 @@ def _random_frame_case(rng, regime, l_v=None):
     tau = {"median": (float(np.median(frame_sims)), 0.0),
            "all_ambiguous": (-2.0, -2.0), "all_negative": (2.0, 2.0)}[regime]
     thr = Thresholds(tau_s=tau[0], tau_u=tau[1], epoch=0)
-    return batch, frame_sims, detect_frame_ambiguity(batch, frame_sims, tables, thr)
+    return batch, frame_sims, detect_frame_ambiguity(batch, frame_sims, tables, thr), tables, thr
 
 
 def test_loss_frame_matches_loop_oracle_in_value_and_gradient():
@@ -395,11 +401,11 @@ def test_loss_frame_matches_loop_oracle_in_value_and_gradient():
     seen = set()
     for trial in range(90):
         regime = _REGIMES[trial % 3]
-        batch, sims, fsets = _random_frame_case(rng, regime, l_v=1 if trial < 6 else None)
+        batch, sims, fsets, _, _ = _random_frame_case(rng, regime, l_v=1 if trial < 6 else None)
         if regime == "all_ambiguous":
-            assert not any(fsets.neg_frames) and not any(fsets.neg_queries)
+            assert not fsets.neg_frame_mask.any() and not fsets.neg_query_mask.any()
         if regime == "all_negative":
-            assert not any(fsets.amb_frames) and not any(fsets.amb_queries)
+            assert not fsets.amb_frame_mask.any() and not fsets.amb_query_mask.any()
         seen.add((regime, sims.shape[2] == 1))
         for key in ("nce", "trip_a", "trip_n", "total"):
             x_mask, x_loop = ad.Var(sims), ad.Var(sims)
@@ -411,14 +417,25 @@ def test_loss_frame_matches_loop_oracle_in_value_and_gradient():
 
 
 def test_loss_frame_hand_built_lists_match_detected_masks():
+    # index lists from the brute-force detection oracle, made into masks
+    # one cell at a time, equal the detected masks and give the same loss
     rng = np.random.default_rng(17)
+    cfg = LossConfig()
     for regime in _REGIMES:
-        _, sims, fsets = _random_frame_case(rng, regime, l_v=4)
-        manual = FrameSets(best_frame=fsets.best_frame, amb_frames=fsets.amb_frames,
-                           neg_frames=fsets.neg_frames, amb_queries=fsets.amb_queries,
-                           neg_queries=fsets.neg_queries)
+        batch, sims, fsets, tables, thr = _random_frame_case(rng, regime, l_v=4)
+        b, _, l_v = sims.shape
+        best, ambf, negf, ambq, negq = [], [], [], [], []
+        for p, (k_hat, amb, amb_q) in enumerate(brute_force_frame_sets(batch, sims, tables, thr)):
+            best.append(k_hat)
+            ambf.append(sorted(amb))
+            negf.append([k for k in range(l_v) if k != k_hat and k not in amb])
+            ambq.append(sorted(amb_q))
+            negq.append([x for x in range(b) if batch[x][1] != batch[p][1] and x not in amb_q])
+        manual = frame_sets_from_lists(best, ambf, negf, ambq, negq, l_v)
+        np.testing.assert_array_equal(manual.best_frame, fsets.best_frame)
         for name in ("amb_frame_mask", "neg_frame_mask", "amb_query_mask", "neg_query_mask"):
             np.testing.assert_array_equal(getattr(manual, name), getattr(fsets, name))
+        assert loss_frame(sims, manual, cfg)["total"] == loss_frame(sims, fsets, cfg)["total"]
 
 
 def test_loss_triplet_matches_loop_oracle_in_value_and_gradient():

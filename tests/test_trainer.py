@@ -1,10 +1,13 @@
 """Training-loop contracts: isolation, determinism, resume, symmetry."""
 
+import struct
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from prvr.corpus import CorpusSpec, generate_synthetic
-from prvr.errors import ConfigError, FormatError
+from prvr.errors import ConfigError, FormatError, NumericalError
 from prvr.trainer import (TrainConfig, _epoch_batches, checkpoint, init_state,
                           resume, step, train)
 from prvr.losses import LossConfig, forced_negative_sets
@@ -194,7 +197,7 @@ def test_step_with_different_sets_changes_loss():
         corpus.text_features.astype(np.float64),
         corpus.video_features.astype(np.float64), pairs)
     amb_sets = detect_video_ambiguity(pairs, scores, best, tables, low)
-    assert any(amb_sets.video_sets)
+    assert amb_sets.amb.any()
 
     s1 = init_state(corpus, cfg)
     bd_neg, _ = step(corpus, pairs, (all_neg, None), s1.theta, cfg)
@@ -267,3 +270,96 @@ def test_batch_size_larger_than_corpus_rejected():
     corpus = make_corpus(n_q=4, n_v=4)
     with pytest.raises(ConfigError):
         train(corpus, make_cfg(batch_size=8))
+
+
+# --- the non-finite path through the shared update -------------------------
+
+def _nan_total(monkeypatch, loss_name):
+    """Make trainer's `loss_name` return a NaN total (the gradient stays finite)."""
+    import prvr.trainer as trainer
+    from prvr import autodiff as ad
+
+    real = getattr(trainer, loss_name)
+
+    def nan_loss(*args):
+        parts = real(*args)
+        parts["total"] = ad.add(parts["total"], float("nan"))
+        return parts
+    monkeypatch.setattr(trainer, loss_name, nan_loss)
+
+
+def test_nonfinite_loss_aborts_step_without_update(monkeypatch):
+    corpus = make_corpus()
+    cfg = make_cfg()
+    state = init_state(corpus, cfg)
+    before = params_bytes(state.theta)
+    pairs = [(i, int(corpus.pairing[i])) for i in range(4)]
+    _nan_total(monkeypatch, "loss_video")
+    with pytest.raises(NumericalError, match="non-finite training loss"):
+        step(corpus, pairs, (forced_negative_sets(pairs), None), state.theta, cfg)
+    assert params_bytes(state.theta) == before
+    assert state.theta.adam.t == 0
+
+
+@pytest.mark.parametrize("loss_name, epoch", (("loss_video", 1), ("loss_frame", 3)))
+def test_nonfinite_loss_in_train_names_epoch_and_batch(monkeypatch, loss_name, epoch):
+    # warmup_epochs=2: the video loss runs from epoch 1, the frame loss from 3
+    _nan_total(monkeypatch, loss_name)
+    with pytest.raises(NumericalError, match=f"non-finite training loss at epoch {epoch} batch 0$"):
+        train(make_corpus(), make_cfg())
+
+
+# --- checkpoint config block ------------------------------------------------
+
+_NONDEFAULT_CFG = TrainConfig(
+    epochs=7, batch_size=5, warmup_epochs=2, learning_rate=0.0005, adam_beta1=0.8,
+    adam_beta2=0.99, adam_eps=1e-07, weight_decay=0.01, seed=-3, cross_model=False,
+    video_lad=False, frame_lad=False, embed_dim=6,
+    loss=LossConfig(margin_m=0.3, margin_ma=0.05, lambda_nce=0.5, temperature=0.7))
+
+_NONDEFAULT_BLOB = (
+    b"epochs=7\nbatch_size=5\nwarmup_epochs=2\nlearning_rate=0.0005\n"
+    b"adam_beta1=0.8\nadam_beta2=0.99\nadam_eps=1e-07\nweight_decay=0.01\n"
+    b"seed=-3\ncross_model=False\nvideo_lad=False\nframe_lad=False\nembed_dim=6\n"
+    b"loss.margin_m=0.3\nloss.margin_ma=0.05\nloss.lambda_nce=0.5\nloss.temperature=0.7")
+
+
+def _config_block(data):
+    (n,) = struct.unpack("<I", data[8:12])
+    return data[12:12 + n]
+
+
+def test_checkpoint_config_block_golden_bytes(tmp_path):
+    path = tmp_path / "state.ckpt"
+    checkpoint(init_state(make_corpus(), _NONDEFAULT_CFG), path)
+    assert _config_block(path.read_bytes()) == _NONDEFAULT_BLOB
+
+
+def test_config_file_round_trips_through_checkpoint(tmp_path):
+    from prvr.config import parse_kv_file, train_config_from
+
+    cfg_file = tmp_path / "train.cfg"
+    cfg_file.write_text(_NONDEFAULT_BLOB.decode().replace("loss.", "").replace("=", " = "))
+    cfg = train_config_from(parse_kv_file(cfg_file))
+    assert cfg == _NONDEFAULT_CFG
+    # every field, loss fields included, differs from its default
+    default = TrainConfig()
+    for f in fields(TrainConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    for f in fields(LossConfig):
+        assert getattr(cfg.loss, f.name) != getattr(default.loss, f.name), f.name
+
+    path = tmp_path / "state.ckpt"
+    checkpoint(init_state(make_corpus(), cfg), path)
+    assert resume(path).cfg == cfg
+
+
+def test_checkpoint_config_block_missing_key_is_format_error(tmp_path):
+    path = tmp_path / "state.ckpt"
+    checkpoint(init_state(make_corpus(), _NONDEFAULT_CFG), path)
+    data = path.read_bytes()
+    block = _config_block(data)
+    cut = block.replace(b"\nloss.lambda_nce=0.5", b"")
+    path.write_bytes(data[:8] + struct.pack("<I", len(cut)) + cut + data[12 + len(block):])
+    with pytest.raises(FormatError, match="config block: missing key.*lambda_nce"):
+        resume(path)
