@@ -11,6 +11,11 @@ modality over the train set; a pair's uncertainty is the mean of its two
 instance values at the pair's best frame. Thresholds are recomputed every
 epoch: tau_s as the mean positive-pair retrieval score, tau_u as the mean
 pair uncertainty over all train pairs.
+
+Training reads the tables in closed form off similarity.score_corpus
+(corpus_thresholds). The map-form functions compute_uncertainty and
+compute_thresholds average a whole CorpusSimilarityMap directly; they
+are the definition the closed form is tested against.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .similarity import CorpusSimilarityMap, map_retrieval_scores, reduce_map, score_corpus
+from .similarity import CorpusSimilarityMap, map_retrieval_scores, score_corpus
 
 
 @dataclass
@@ -84,8 +89,8 @@ class AmbiguitySets:
 
 def compute_uncertainty(sim_map: CorpusSimilarityMap) -> UncertaintyTables:
     """Average the similarity map into per-query and per-frame tables."""
-    r = reduce_map(sim_map, uncertainty=True)
-    return UncertaintyTables(u_q=r.u_q, u_v=r.u_v, epoch=r.epoch)
+    m = sim_map.m
+    return UncertaintyTables(u_q=m.mean(axis=(1, 2)), u_v=m.mean(axis=0), epoch=sim_map.epoch)
 
 
 def pair_uncertainties(u_q, u_v, best):
@@ -114,10 +119,11 @@ def compute_thresholds(sim_map: CorpusSimilarityMap, pairing: np.ndarray,
 def corpus_thresholds(params, corpus, epoch: int):
     """One branch's per-epoch (UncertaintyTables, Thresholds), streamed.
 
-    Bitwise equal to compute_uncertainty and compute_thresholds on
-    build_corpus_map's map, without holding the map.
+    Matches compute_uncertainty and compute_thresholds on build_corpus_map's
+    map without holding it: tau_s bitwise, the tables and tau_u up to the
+    closed form's rounding.
     """
-    r = score_corpus(params, corpus, epoch=epoch, uncertainty=True)
+    r = score_corpus(params, corpus, epoch=epoch)
     tables = UncertaintyTables(u_q=r.u_q, u_v=r.u_v, epoch=epoch)
     return tables, _thresholds(r.scores, r.best, corpus.pairing, tables, epoch)
 
@@ -137,7 +143,7 @@ def detect_video_ambiguity(batch, scores, best_frames,
     v_idx = np.asarray([v for _, v in batch])
 
     pos = v_idx[:, None] == v_idx[None, :]
-    u = (tables.u_q[q_idx][:, None] + tables.u_v[v_idx[None, :], best_frames]) / 2.0
+    u = pair_uncertainties(tables.u_q[q_idx], tables.u_v[v_idx], best_frames)
     amb = (~pos) & (scores > thresholds.tau_s) & (u > thresholds.tau_u)
     return AmbiguitySets(batch=list(batch), pos=pos, amb=amb)
 

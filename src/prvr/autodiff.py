@@ -10,7 +10,7 @@ import numpy as np
 
 __all__ = [
     "Var", "val", "backward",
-    "add", "sub", "mul", "div", "neg", "matmul",
+    "add", "sub", "mul", "div", "matmul",
     "exp", "log", "sqrt", "relu", "softmax",
     "reduce_sum", "reduce_mean", "reduce_max",
     "reshape", "transpose", "take", "stack",
@@ -111,12 +111,6 @@ def div(a, b):
     return _binary(a, b, out,
                    lambda g: _unbroadcast(g / bv, av_shape),
                    lambda g: _unbroadcast(-g * av / (bv * bv), bv_shape))
-
-
-def neg(a):
-    if not _traced(a):
-        return -a
-    return Var(-a.value, ((a, lambda g: -g),))
 
 
 def matmul(a, b):

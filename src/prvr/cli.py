@@ -62,11 +62,13 @@ def cmd_train(args):
     lines = resolved_lines(cfg)
     _print_resolved(lines)
     os.makedirs(args.out, exist_ok=True)
-    with _atomic_open(os.path.join(args.out, "config.resolved")) as fh:
-        fh.write("\n".join(lines) + "\n")
 
+    # every output is written after train returns, so a rejected run
+    # leaves an earlier run's files in args.out consistent
     state, log_rows = train(corpus, cfg)
 
+    with _atomic_open(os.path.join(args.out, "config.resolved")) as fh:
+        fh.write("\n".join(lines) + "\n")
     ckpt_path = os.path.join(args.out, "checkpoint.ckpt")
     checkpoint(state, ckpt_path)
     log_path = os.path.join(args.out, "training_log.csv")
@@ -125,9 +127,12 @@ def cmd_audit(args):
                                  repr(float(edges[b + 1])), repr(float(h_pos[b]))])
                 writer.writerow([f"hist_{metric}_unpaired", repr(float(edges[b])),
                                  repr(float(edges[b + 1])), repr(float(h_unp[b]))])
-        for qi, vj in report.detected_pairs:
-            writer.writerow(["ambiguous_pair", qi, vj, ""])
-    print(f"wrote {args.out}: f1={report.f1:.4f} detected={len(report.detected_pairs)}")
+        # Python ints a block at a time, never a list of every pair
+        pairs = report.detected_pairs
+        for x0 in range(0, len(pairs), 4096):
+            writer.writerows(["ambiguous_pair", qi, vj, ""]
+                             for qi, vj in pairs[x0:x0 + 4096].tolist())
+    print(f"wrote {args.out}: f1={report.f1:.4f} detected={len(pairs)}")
     return 0
 
 

@@ -42,7 +42,7 @@ class AuditReport:
     unc_bin_edges: np.ndarray
     unc_hist_positive: np.ndarray
     unc_hist_unpaired: np.ndarray
-    detected_pairs: list
+    detected_pairs: np.ndarray      # (K, 2) detected (query, video), row-major
     precision: float
     recall: float
     f1: float
@@ -52,14 +52,15 @@ class AuditReport:
 
 def _branch_scores(params, corpus: FeatureCorpus, epoch: int, uncertainty: bool):
     """One branch's (scores, pair uncertainties or None), each (N_q, N_v)."""
-    r = score_corpus(params, corpus, epoch=epoch, uncertainty=uncertainty)
+    r = score_corpus(params, corpus, epoch=epoch)
     return r.scores, (pair_uncertainties(r.u_q, r.u_v, r.best) if uncertainty else None)
 
 
 def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus, uncertainty: bool = True):
     """Fused scores and fused pair uncertainties, (N_q, N_v) each.
 
-    Without uncertainty the second item is None and no tables are built.
+    Without uncertainty the second item is None and no (N_q, N_v) pair
+    uncertainties are built.
     """
     (s_t, u_t), (s_p, u_p) = (_branch_scores(b.params, corpus, state.epoch, uncertainty)
                               for b in (state.theta, state.phi))
@@ -90,19 +91,19 @@ def evaluate(state: DualBranchState, corpus: FeatureCorpus) -> RecallReport:
     return recall_from_scores(fused, corpus.pairing)
 
 
-def grade_detection(detected, planted):
-    """Precision/recall/F1 of detected pairs vs planted ground truth.
+def grade_detection(detected_mask, planted):
+    """Precision/recall/F1 of a (N_q, N_v) detected mask vs planted pairs.
 
-    Empty detected or empty/missing planted use the zero convention with
-    defined=False.
+    planted holds (query, video) pairs. Empty detected or empty/missing
+    planted use the zero convention with defined=False.
     """
-    detected = set(detected)
-    planted = set(planted) if planted else set()
-    tp = len(detected & planted)
-    precision = tp / len(detected) if detected else 0.0
-    recall = tp / len(planted) if planted else 0.0
+    n_detected = int(np.count_nonzero(detected_mask))
+    planted = np.array(list(set(planted or ())), dtype=np.intp).reshape(-1, 2)
+    tp = int(np.count_nonzero(detected_mask[planted[:, 0], planted[:, 1]]))
+    precision = tp / n_detected if n_detected else 0.0
+    recall = tp / len(planted) if len(planted) else 0.0
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-    return precision, recall, f1, bool(detected) and bool(planted)
+    return precision, recall, f1, n_detected > 0 and len(planted) > 0
 
 
 def _hist(values, mask_pos, mask_unp):
@@ -134,12 +135,10 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     tau_s = float(fused_s[pos].mean())
     tau_u = float(fused_u.mean())
     detected_mask = unp & (fused_s > tau_s) & (fused_u > tau_u)
-    rows, cols = np.nonzero(detected_mask)            # row-major, so already sorted
-    detected = list(zip(rows.tolist(), cols.tolist()))
 
     planted = corpus.planted_ambiguity
     n_planted = len(planted) if planted else 0
-    precision, recall, f1, lad_defined = grade_detection(detected, planted)
+    precision, recall, f1, lad_defined = grade_detection(detected_mask, planted)
 
     sim_edges, sim_pos, sim_unp = _hist(fused_s, pos, unp)
     unc_edges, unc_pos, unc_unp = _hist(fused_u, pos, unp)
@@ -152,6 +151,6 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
         mean_unpaired_uncertainty=float(fused_u[unp].mean()),
         sim_bin_edges=sim_edges, sim_hist_positive=sim_pos, sim_hist_unpaired=sim_unp,
         unc_bin_edges=unc_edges, unc_hist_positive=unc_pos, unc_hist_unpaired=unc_unp,
-        detected_pairs=detected, precision=precision, recall=recall, f1=f1,
+        detected_pairs=np.argwhere(detected_mask), precision=precision, recall=recall, f1=f1,
         lad_defined=lad_defined, planted_count=n_planted,
     )

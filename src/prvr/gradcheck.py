@@ -10,8 +10,8 @@ parameter element.
 import numpy as np
 
 from . import autodiff as ad
-from .ambiguity import (Thresholds, UncertaintyTables,
-                        detect_frame_ambiguity, detect_video_ambiguity)
+from .ambiguity import (Thresholds, UncertaintyTables, detect_frame_ambiguity,
+                        detect_video_ambiguity, pair_uncertainties)
 from .encoder import EncoderDims, EncoderParams, collect_tape, wrap_params
 from .losses import LossConfig, grand_total, loss_frame, loss_video
 from .trainer import _forward_batch
@@ -44,7 +44,7 @@ def _random_instance(seed):
     # are all usually non-empty and every loss path carries gradient
     frame_sims, scores, best = _forward_batch(params.tensors, dims, text, video, pairs)
     off = ~np.eye(b, dtype=bool)
-    u = (tables.u_q[:, None] + tables.u_v[np.arange(b)[None, :], best]) / 2.0
+    u = pair_uncertainties(tables.u_q, tables.u_v, best)
     thr = Thresholds(tau_s=float(np.median(scores[off])),
                      tau_u=float(np.median(u[off])), epoch=0)
     vsets = detect_video_ambiguity(pairs, scores, best, tables, thr)

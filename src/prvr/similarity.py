@@ -11,10 +11,17 @@ scalar calls exactly. GEMM does not have that property.
 Corpus scoring never holds the whole map. `score_corpus` encodes each
 side once and walks the queries in chunks of about _CHUNK_BYTES: the
 kernel fills one (chunk, N_v, L_v) block, and a reducer folds it into
-per-pair scores and best frames and, when asked, the uncertainty tables.
-Memory is O(N_q * N_v) plus one chunk. `build_corpus_map` keeps the map
-form for tests and tools; it runs the same kernel, and the map-form
-reductions run the same reducer, so both forms are bitwise equal.
+per-pair scores and best frames. Memory is O(N_q * N_v) plus one chunk.
+`build_corpus_map` keeps the map form for tests and tools; it runs the
+same kernel, and `map_retrieval_scores` the same reducer, so scores and
+best frames are bitwise equal in both forms.
+
+The uncertainty tables are the map's means over each query's row and
+over the queries. The map is linear in each unit embedding, so they are
+u_q = qu . mean(fu) and u_v = fu . mean(qu), O((N_q + N_v * L_v) * d)
+work beside the map. They differ from the map's direct means only by
+rounding: to first order each form lies within (d + log2 N) * eps of the
+exact mean for N averaged terms, far inside ACCEPT-04's 1e-12.
 """
 
 from dataclasses import dataclass
@@ -46,18 +53,26 @@ class CorpusScores:
     scores[x, y] is the max frame cosine of query x in video y and
     best[x, y] its frame (ties -> lowest index), both (N_q, N_v). u_q
     (N_q,) and u_v (N_v, L_v) are the map's means over each query's row
-    and over the queries; None unless asked for.
+    and over the queries, in closed form.
     """
 
     scores: np.ndarray
     best: np.ndarray
-    u_q: np.ndarray | None
-    u_v: np.ndarray | None
+    u_q: np.ndarray
+    u_v: np.ndarray
     epoch: int
 
 
-def _norms(x, axis):
-    return ad.sqrt(ad.reduce_sum(ad.mul(x, x), axis=axis, keepdims=True))
+def _unit(x):
+    """x over its norm along the last axis, for a Var or an array.
+
+    Aborts on a zero row (zero outputs are measure-zero under the init
+    scheme; no epsilon is added so gradient checks stay exact).
+    """
+    n = ad.sqrt(ad.reduce_sum(ad.mul(x, x), axis=-1, keepdims=True))
+    if np.any(ad.val(n) == 0.0):
+        raise NumericalError("zero-norm embedding encountered in cosine kernel")
+    return ad.div(x, n)
 
 
 def frame_similarity(q, v) -> float:
@@ -92,25 +107,15 @@ def cosine_pairs(q_emb, frame_emb):
     """All-pairs cosine tensor between queries (n, d) and frames (m, L, d).
 
     Returns (n, m, L); differentiable when inputs are Vars. Aborts on a
-    zero embedding (zero outputs are measure-zero under the init scheme;
-    no epsilon is added so gradient checks stay exact).
+    zero embedding.
     """
-    qn = _norms(q_emb, axis=-1)
-    fn = _norms(frame_emb, axis=-1)
-    if np.any(ad.val(qn) == 0.0) or np.any(ad.val(fn) == 0.0):
-        raise NumericalError("zero-norm embedding encountered in cosine kernel")
-    return _unit_dots(ad.div(q_emb, qn), ad.div(frame_emb, fn))
+    return _unit_dots(_unit(q_emb), _unit(frame_emb))
 
 
 def _unit_embeddings(params, corpus):
     """Unit query (N_q, d) and frame (N_v, L_v, d) embeddings, one encode per side."""
-    q_emb = encode_text(params, corpus.text_features)
-    f_emb = encode_video(params, corpus.video_features)
-    fn = np.sqrt((f_emb * f_emb).sum(axis=-1, keepdims=True))
-    qn = np.sqrt((q_emb * q_emb).sum(axis=-1, keepdims=True))
-    if np.any(fn == 0.0) or np.any(qn == 0.0):
-        raise NumericalError("zero-norm embedding while scoring the corpus")
-    return q_emb / qn, f_emb / fn
+    return (_unit(encode_text(params, corpus.text_features)),
+            _unit(encode_video(params, corpus.video_features)))
 
 
 def _fill_map(qu, fu, out):
@@ -146,42 +151,29 @@ def _map_chunks(qu, fu):
         yield x0, chunk
 
 
-def _reduce(chunks, shape, uncertainty, epoch) -> CorpusScores:
-    """Fold (x0, block) chunks of a map of `shape`, in query order.
-
-    u_q takes each chunk's row means. u_v adds the rows one at a time from
-    zero, then divides by N_q: that is the order numpy's mean over axis 0
-    of the whole map sums in, so both match the map form bitwise.
-    """
-    n_q, n_v, l_v = shape
+def _reduce(chunks, n_q, n_v):
+    """Scores and best frames, (n_q, n_v) each, from (x0, block) map chunks."""
     scores = np.empty((n_q, n_v))
     best = np.empty((n_q, n_v), dtype=np.intp)
-    u_q = np.empty(n_q) if uncertainty else None
-    u_v = np.zeros((n_v, l_v)) if uncertainty else None
     for x0, chunk in chunks:
         span = slice(x0, x0 + len(chunk))
         k = np.argmax(chunk, axis=2)
         best[span] = k
         scores[span] = np.take_along_axis(chunk, k[..., None], axis=2)[..., 0]
-        if uncertainty:
-            u_q[span] = chunk.mean(axis=(1, 2))
-            for row in chunk:
-                u_v += row
-    if uncertainty:
-        # numpy sums a (N_q, 1, 1) map pairwise as one column, and that
-        # column is the scores
-        u_v = scores.mean(axis=0).reshape(1, 1) if u_v.size == 1 else u_v / n_q
-    return CorpusScores(scores=scores, best=best, u_q=u_q, u_v=u_v, epoch=epoch)
+    return scores, best
 
 
-def score_corpus(params, corpus, epoch: int = 0, uncertainty: bool = False) -> CorpusScores:
-    """Per-pair scores over the corpus, streamed over query chunks.
+def score_corpus(params, corpus, epoch: int = 0) -> CorpusScores:
+    """Per-pair scores streamed over query chunks, and the uncertainty tables.
 
-    With uncertainty, also the tables u_q and u_v. Holds one chunk of
-    the map at a time; bitwise equal to reducing build_corpus_map.
+    Holds one chunk of the map at a time. Scores and best frames are
+    bitwise equal to reducing build_corpus_map; the tables are closed form.
     """
     qu, fu = _unit_embeddings(params, corpus)
-    return _reduce(_map_chunks(qu, fu), (len(qu),) + fu.shape[:2], uncertainty, epoch)
+    scores, best = _reduce(_map_chunks(qu, fu), len(qu), len(fu))
+    u_q = (qu * fu.reshape(-1, fu.shape[-1]).mean(axis=0)).sum(axis=-1)
+    u_v = (fu * qu.mean(axis=0)).sum(axis=-1)
+    return CorpusScores(scores=scores, best=best, u_q=u_q, u_v=u_v, epoch=epoch)
 
 
 def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
@@ -196,12 +188,6 @@ def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
     return CorpusSimilarityMap(m=m, epoch=epoch)
 
 
-def reduce_map(sim_map: CorpusSimilarityMap, uncertainty: bool = False) -> CorpusScores:
-    """score_corpus's outputs from a whole map, as one chunk."""
-    return _reduce([(0, sim_map.m)], sim_map.m.shape, uncertainty, sim_map.epoch)
-
-
 def map_retrieval_scores(sim_map: CorpusSimilarityMap):
     """Per-pair retrieval scores and best-frame indices from the map."""
-    r = reduce_map(sim_map)
-    return r.scores, r.best
+    return _reduce([(0, sim_map.m)], *sim_map.m.shape[:2])

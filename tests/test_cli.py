@@ -153,6 +153,23 @@ def test_training_log_columns(tmp_path, spec_file, train_file):
         assert cells[3] == "" and cells[4] == ""
 
 
+def test_rejected_train_rerun_keeps_earlier_run(tmp_path, spec_file, train_file, capsys):
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    run = tmp_path / "run"
+    argv = ["train", "--corpus", corpus_path, "--config", train_file, "--out", str(run)]
+    assert main(argv) == 0
+    earlier = _snapshot(run)
+    assert sorted(earlier) == ["checkpoint.ckpt", "config.resolved", "training_log.csv"]
+    capsys.readouterr()
+
+    # the corpus has 12 queries, so train rejects the batch size
+    assert main(argv + ["--set", "batch_size=64"]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: config-error:")
+    assert _snapshot(run) == earlier
+
+
 def _checkpoint_and_corpus(tmp_path, spec_file, train_file, corpus_overrides=()):
     """An untrained checkpoint for the spec's dims, and a corpus of the spec."""
     from prvr.config import parse_kv_file, train_config_from

@@ -126,22 +126,30 @@ def test_evaluate_on_trained_state_matches_oracle():
 
 # --- detection grading and audit ------------------------------------------
 
+def mask_of(pairs, shape=(6, 6)):
+    """(N_q, N_v) detected mask with the given (query, video) pairs set."""
+    mask = np.zeros(shape, dtype=bool)
+    for i, j in pairs:
+        mask[i, j] = True
+    return mask
+
+
 def test_grade_detection_exact_match():
     pairs = {(0, 1), (2, 3)}
-    p, r, f1, defined = grade_detection(pairs, pairs)
+    p, r, f1, defined = grade_detection(mask_of(pairs), pairs)
     assert (p, r, f1, defined) == (1.0, 1.0, 1.0, True)
 
 
 def test_grade_detection_partial():
-    p, r, f1, defined = grade_detection({(0, 1), (0, 2)}, {(0, 1), (5, 5)})
+    p, r, f1, defined = grade_detection(mask_of({(0, 1), (0, 2)}), {(0, 1), (5, 5)})
     assert p == 0.5 and r == 0.5 and f1 == pytest.approx(0.5)
     assert defined
 
 
 def test_grade_detection_empty_conventions():
-    assert grade_detection(set(), {(0, 1)}) == (0.0, 0.0, 0.0, False)
-    assert grade_detection({(0, 1)}, set()) == (0.0, 0.0, 0.0, False)
-    assert grade_detection(set(), None) == (0.0, 0.0, 0.0, False)
+    assert grade_detection(mask_of(()), {(0, 1)}) == (0.0, 0.0, 0.0, False)
+    assert grade_detection(mask_of({(0, 1)}), set()) == (0.0, 0.0, 0.0, False)
+    assert grade_detection(mask_of(()), None) == (0.0, 0.0, 0.0, False)
 
 
 def test_audit_requires_train_split():

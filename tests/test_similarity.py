@@ -86,6 +86,21 @@ def make_tiny_corpus(n_q=3, n_v=2, l_q=2, l_v=3):
     return generate_synthetic(spec)
 
 
+@pytest.mark.parametrize("traced", (False, True))
+@pytest.mark.parametrize("side", ("query", "frame"))
+def test_cosine_pairs_rejects_zero_embedding(side, traced):
+    rng = np.random.default_rng(3)
+    q, f = rng.normal(size=(3, 4)), rng.normal(size=(2, 5, 4))
+    if side == "query":
+        q[1] = 0.0
+    else:
+        f[1, 2] = 0.0
+    if traced:
+        q, f = ad.Var(q), ad.Var(f)
+    with pytest.raises(NumericalError):
+        cosine_pairs(q, f)
+
+
 def test_corpus_map_matches_per_entry_oracle_exactly():
     corpus = make_tiny_corpus()
     dims = EncoderDims(d_t=corpus.d_t, d_v=corpus.d_v, l_q=corpus.l_q,
