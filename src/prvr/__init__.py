@@ -11,7 +11,7 @@ from .ambiguity import (AmbiguitySets, FrameSets, Thresholds, UncertaintyTables,
                         detect_frame_ambiguity, detect_video_ambiguity)
 from .corpus import (CorpusSpec, FeatureCorpus, generate_synthetic,
                      read_corpus, write_corpus)
-from .encoder import EncoderDims, EncoderParams, GradientTape, encode_text, encode_video
+from .encoder import EncoderDims, EncoderParams, encode_text, encode_video
 from .errors import (ConfigError, DimensionError, FormatError,
                      NumericalError, PrvrError)
 from .evaluation import AuditReport, RecallReport, audit, evaluate

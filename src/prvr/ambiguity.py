@@ -4,7 +4,9 @@ An unpaired (query, video) pair is ambiguous when its retrieval score
 exceeds tau_s AND its pair uncertainty exceeds tau_u (strict
 inequalities; ties fall to negative). The same rule applies between a
 query and the individual frames of its paired video, and between a
-selected frame and the other queries of the batch.
+selected frame and the other queries of the batch. is_ambiguous is that
+rule and threshold_schedule its thresholds; training, detection and the
+audit all call these two.
 
 Uncertainty of an instance is its average cosine to the whole other
 modality over the train set; a pair's uncertainty is the mean of its two
@@ -101,19 +103,27 @@ def pair_uncertainties(u_q, u_v, best):
     return u
 
 
-def _thresholds(scores, best, pairing, tables: UncertaintyTables, epoch) -> Thresholds:
+def threshold_schedule(scores, pair_u, pairing, epoch) -> Thresholds:
+    """The per-epoch thresholds: tau_s the mean positive-pair score, tau_u
+    the mean of the (N_q, N_v) pair uncertainties `pair_u`."""
     if len(pairing) == 0:
         raise ConfigError("cannot compute thresholds on an empty train set")
     tau_s = float(scores[np.arange(scores.shape[0]), pairing].mean())
-    tau_u = float(pair_uncertainties(tables.u_q, tables.u_v, best).mean())
-    return Thresholds(tau_s=tau_s, tau_u=tau_u, epoch=epoch)
+    return Thresholds(tau_s=tau_s, tau_u=float(pair_u.mean()), epoch=epoch)
+
+
+def is_ambiguous(scores, pair_u, thr: Thresholds):
+    """The two-criteria rule, strict on both thresholds; callers mask out
+    the positives."""
+    return (scores > thr.tau_s) & (pair_u > thr.tau_u)
 
 
 def compute_thresholds(sim_map: CorpusSimilarityMap, pairing: np.ndarray,
                        tables: UncertaintyTables) -> Thresholds:
     """Per-epoch thresholds from the current map and tables."""
     scores, best = map_retrieval_scores(sim_map)
-    return _thresholds(scores, best, pairing, tables, sim_map.epoch)
+    return threshold_schedule(scores, pair_uncertainties(tables.u_q, tables.u_v, best),
+                              pairing, sim_map.epoch)
 
 
 def corpus_thresholds(params, corpus, epoch: int):
@@ -123,9 +133,10 @@ def corpus_thresholds(params, corpus, epoch: int):
     map without holding it: tau_s bitwise, the tables and tau_u up to the
     closed form's rounding.
     """
-    r = score_corpus(params, corpus, epoch=epoch)
+    r = score_corpus(params, corpus)
     tables = UncertaintyTables(u_q=r.u_q, u_v=r.u_v, epoch=epoch)
-    return tables, _thresholds(r.scores, r.best, corpus.pairing, tables, epoch)
+    return tables, threshold_schedule(r.scores, pair_uncertainties(r.u_q, r.u_v, r.best),
+                                      corpus.pairing, epoch)
 
 
 def detect_video_ambiguity(batch, scores, best_frames,
@@ -144,7 +155,7 @@ def detect_video_ambiguity(batch, scores, best_frames,
 
     pos = v_idx[:, None] == v_idx[None, :]
     u = pair_uncertainties(tables.u_q[q_idx], tables.u_v[v_idx], best_frames)
-    amb = (~pos) & (scores > thresholds.tau_s) & (u > thresholds.tau_u)
+    amb = (~pos) & is_ambiguous(scores, u, thresholds)
     return AmbiguitySets(batch=list(batch), pos=pos, amb=amb)
 
 
@@ -166,7 +177,7 @@ def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,
     own = frame_sims[slots, slots]                       # (b, L_v): pair p's own video
     best = np.argmax(own, axis=1)
     u_f = (tables.u_q[q_idx][:, None] + tables.u_v[v_idx]) / 2.0
-    amb_f = (own > thresholds.tau_s) & (u_f > thresholds.tau_u)
+    amb_f = is_ambiguous(own, u_f, thresholds)
     amb_f[slots, best] = False
     neg_f = ~amb_f
     neg_f[slots, best] = False
@@ -174,7 +185,7 @@ def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,
     sel = frame_sims[:, slots, best].T                   # [p, x]: query x at p's best frame
     u_sel = (tables.u_q[q_idx][None, :] + tables.u_v[v_idx, best][:, None]) / 2.0
     unpaired = v_idx[:, None] != v_idx[None, :]
-    amb_q = unpaired & (sel > thresholds.tau_s) & (u_sel > thresholds.tau_u)
+    amb_q = unpaired & is_ambiguous(sel, u_sel, thresholds)
     neg_q = unpaired & ~amb_q
 
     return FrameSets(best_frame=best, amb_frame_mask=amb_f, neg_frame_mask=neg_f,

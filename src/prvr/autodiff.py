@@ -13,7 +13,7 @@ __all__ = [
     "add", "sub", "mul", "div", "matmul",
     "exp", "log", "sqrt", "relu", "softmax",
     "reduce_sum", "reduce_mean", "reduce_max",
-    "reshape", "transpose", "take", "stack",
+    "reshape", "transpose", "take",
 ]
 
 
@@ -249,20 +249,6 @@ def take(a, indices, axis=0):
         return grad
 
     return Var(out, ((a, vjp),))
-
-
-def stack(xs, axis=0):
-    vals = [val(x) for x in xs]
-    out = np.stack(vals, axis=axis)
-    if not _traced(*xs):
-        return out
-    parents = []
-    for i, x in enumerate(xs):
-        if isinstance(x, Var):
-            def vjp(g, i=i):
-                return np.take(g, i, axis=axis)
-            parents.append((x, vjp))
-    return Var(out, tuple(parents))
 
 
 def _topo_order(root):

@@ -137,6 +137,10 @@ def cmd_audit(args):
 
 
 def cmd_grad_check(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+    if args.instances < 1:
+        raise ConfigError(f"--instances must be positive, got {args.instances}")
     _print_resolved([f"seed={args.seed}", f"instances={args.instances}"])
     worst, _ = run_suite(seed=args.seed, instances=args.instances)
     print(f"grad-check: instances={args.instances} max_rel_error={worst:.6e}")

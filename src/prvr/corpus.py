@@ -241,7 +241,12 @@ def generate_synthetic(spec: CorpusSpec, split: str = "train") -> FeatureCorpus:
 
 
 def _read_exact(fh, n, fieldname):
-    data = fh.read(n)
+    """n bytes of `fieldname`, or FormatError naming it.
+
+    No more than the bytes left in the file are read, so a length that a
+    corrupt file declares never sizes a buffer.
+    """
+    data = fh.read(min(n, os.fstat(fh.fileno()).st_size - fh.tell()))
     if len(data) != n:
         raise FormatError(f"{fieldname}: expected {n} bytes, file truncated at {len(data)}")
     return data

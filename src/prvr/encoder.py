@@ -1,4 +1,4 @@
-"""Text and video encoders with learnable parameters and a gradient tape.
+"""Text and video encoders with learnable parameters, and their gradients.
 
 Both sides project their features linearly into the embedding space and
 apply one pre-norm single-head self-attention layer with a residual
@@ -112,19 +112,6 @@ class EncoderParams:
         return self.tensors[name]
 
 
-@dataclass
-class GradientTape:
-    """Per-parameter gradients, shapes mirroring EncoderParams."""
-
-    grads: dict
-
-    def __getitem__(self, name):
-        return self.grads[name]
-
-    def max_abs(self):
-        return max(np.abs(g).max() if g.size else 0.0 for g in self.grads.values())
-
-
 def wrap_params(params: EncoderParams) -> dict:
     """Wrap every parameter tensor in an autodiff Var for one training step."""
     return {name: ad.Var(params.tensors[name]) for name in params.names()}
@@ -218,8 +205,9 @@ def encode_video(params, frame_features, dims: EncoderDims = None):
     return _encode_tokens(tensors, x, "video", dims)
 
 
-def collect_tape(wrapped: dict, loss) -> GradientTape:
-    """Run backprop from a scalar loss Var and gather per-parameter grads.
+def collect_tape(wrapped: dict, loss) -> dict:
+    """Run backprop from a scalar loss Var and gather per-parameter grads,
+    {name: gradient} with shapes mirroring EncoderParams.
 
     Parameters not reached by the loss get zero gradients. Non-finite
     gradients abort with the offending tensor's name.
@@ -237,4 +225,4 @@ def collect_tape(wrapped: dict, loss) -> GradientTape:
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"gradient for {name} is non-finite")
         tape[name] = g
-    return GradientTape(tape)
+    return tape

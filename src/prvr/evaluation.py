@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambiguity import pair_uncertainties
+from .ambiguity import is_ambiguous, pair_uncertainties, threshold_schedule
 from .corpus import FeatureCorpus
 from .errors import ConfigError
 from .similarity import score_corpus
@@ -50,9 +50,9 @@ class AuditReport:
     planted_count: int = 0
 
 
-def _branch_scores(params, corpus: FeatureCorpus, epoch: int, uncertainty: bool):
+def _branch_scores(params, corpus: FeatureCorpus, uncertainty: bool):
     """One branch's (scores, pair uncertainties or None), each (N_q, N_v)."""
-    r = score_corpus(params, corpus, epoch=epoch)
+    r = score_corpus(params, corpus)
     return r.scores, (pair_uncertainties(r.u_q, r.u_v, r.best) if uncertainty else None)
 
 
@@ -62,7 +62,7 @@ def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus, uncertainty
     Without uncertainty the second item is None and no (N_q, N_v) pair
     uncertainties are built.
     """
-    (s_t, u_t), (s_p, u_p) = (_branch_scores(b.params, corpus, state.epoch, uncertainty)
+    (s_t, u_t), (s_p, u_p) = (_branch_scores(b.params, corpus, uncertainty)
                               for b in (state.theta, state.phi))
     return (s_t + s_p) / 2.0, ((u_t + u_p) / 2.0 if uncertainty else None)
 
@@ -119,8 +119,8 @@ def _hist(values, mask_pos, mask_unp):
 def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     """Distribution and detection-quality audit over a train corpus.
 
-    Applies the ambiguity rule corpus-wide with fused branch scores and
-    uncertainties, thresholds recomputed by the per-epoch rules. With no
+    Applies training's rule (threshold_schedule, is_ambiguous) corpus-wide
+    to fused branch scores and pair uncertainties. With no
     planted ground truth (or nothing detected) precision/recall fall back
     to 0 and lad_defined is False.
     """
@@ -132,9 +132,8 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     pos[np.arange(n_q), corpus.pairing] = True
     unp = ~pos
 
-    tau_s = float(fused_s[pos].mean())
-    tau_u = float(fused_u.mean())
-    detected_mask = unp & (fused_s > tau_s) & (fused_u > tau_u)
+    thr = threshold_schedule(fused_s, fused_u, corpus.pairing, state.epoch)
+    detected_mask = unp & is_ambiguous(fused_s, fused_u, thr)
 
     planted = corpus.planted_ambiguity
     n_planted = len(planted) if planted else 0
@@ -144,8 +143,8 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     unc_edges, unc_pos, unc_unp = _hist(fused_u, pos, unp)
 
     return AuditReport(
-        tau_s=tau_s, tau_u=tau_u,
-        mean_positive_similarity=float(fused_s[pos].mean()),
+        tau_s=thr.tau_s, tau_u=thr.tau_u,
+        mean_positive_similarity=thr.tau_s,
         mean_unpaired_similarity=float(fused_s[unp].mean()),
         mean_positive_uncertainty=float(fused_u[pos].mean()),
         mean_unpaired_uncertainty=float(fused_u[unp].mean()),

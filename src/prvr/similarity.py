@@ -10,11 +10,11 @@ scalar calls exactly. GEMM does not have that property.
 
 Corpus scoring never holds the whole map. `score_corpus` encodes each
 side once and walks the queries in chunks of about _CHUNK_BYTES: the
-kernel fills one (chunk, N_v, L_v) block, and a reducer folds it into
-per-pair scores and best frames. Memory is O(N_q * N_v) plus one chunk.
-`build_corpus_map` keeps the map form for tests and tools; it runs the
-same kernel, and `map_retrieval_scores` the same reducer, so scores and
-best frames are bitwise equal in both forms.
+kernel fills one (chunk, N_v, L_v) block, and `autodiff.reduce_max`
+folds it into per-pair scores and best frames. Memory is O(N_q * N_v)
+plus one chunk. `build_corpus_map` keeps the map form for tests and
+tools; it runs the same kernel, and `map_retrieval_scores` the same
+reducer, so scores and best frames are bitwise equal in both forms.
 
 The uncertainty tables are the map's means over each query's row and
 over the queries. The map is linear in each unit embedding, so they are
@@ -48,7 +48,7 @@ class CorpusSimilarityMap:
 
 @dataclass
 class CorpusScores:
-    """Per-pair retrieval over a corpus at `epoch`.
+    """Per-pair retrieval over a corpus.
 
     scores[x, y] is the max frame cosine of query x in video y and
     best[x, y] its frame (ties -> lowest index), both (N_q, N_v). u_q
@@ -60,7 +60,6 @@ class CorpusScores:
     best: np.ndarray
     u_q: np.ndarray
     u_v: np.ndarray
-    epoch: int
 
 
 def _unit(x):
@@ -140,40 +139,26 @@ def _fill_map(qu, fu, out):
             prod.sum(axis=-1, out=out[x0:x0 + tq, y0:y0 + tv])
 
 
-def _map_chunks(qu, fu):
-    """(x0, block) chunks of the map in query order, in one reused buffer."""
-    n_q, (n_v, l_v, _) = len(qu), fu.shape
-    rows = max(1, min(n_q, _CHUNK_BYTES // (n_v * l_v * 8)))
-    block = np.empty((rows, n_v, l_v))
-    for x0 in range(0, n_q, rows):
-        chunk = block[:min(rows, n_q - x0)]
-        _fill_map(qu[x0:x0 + rows], fu, chunk)
-        yield x0, chunk
-
-
-def _reduce(chunks, n_q, n_v):
-    """Scores and best frames, (n_q, n_v) each, from (x0, block) map chunks."""
-    scores = np.empty((n_q, n_v))
-    best = np.empty((n_q, n_v), dtype=np.intp)
-    for x0, chunk in chunks:
-        span = slice(x0, x0 + len(chunk))
-        k = np.argmax(chunk, axis=2)
-        best[span] = k
-        scores[span] = np.take_along_axis(chunk, k[..., None], axis=2)[..., 0]
-    return scores, best
-
-
-def score_corpus(params, corpus, epoch: int = 0) -> CorpusScores:
+def score_corpus(params, corpus) -> CorpusScores:
     """Per-pair scores streamed over query chunks, and the uncertainty tables.
 
     Holds one chunk of the map at a time. Scores and best frames are
     bitwise equal to reducing build_corpus_map; the tables are closed form.
     """
     qu, fu = _unit_embeddings(params, corpus)
-    scores, best = _reduce(_map_chunks(qu, fu), len(qu), len(fu))
-    u_q = (qu * fu.reshape(-1, fu.shape[-1]).mean(axis=0)).sum(axis=-1)
+    (n_q, d), (n_v, l_v, _) = qu.shape, fu.shape
+    scores = np.empty((n_q, n_v))
+    best = np.empty((n_q, n_v), dtype=np.intp)
+    rows = max(1, min(n_q, _CHUNK_BYTES // (n_v * l_v * 8)))
+    block = np.empty((rows, n_v, l_v))
+    for x0 in range(0, n_q, rows):
+        span = slice(x0, x0 + rows)
+        chunk = block[:min(rows, n_q - x0)]
+        _fill_map(qu[span], fu, chunk)
+        scores[span], best[span] = ad.reduce_max(chunk, axis=2)
+    u_q = (qu * fu.reshape(-1, d).mean(axis=0)).sum(axis=-1)
     u_v = (fu * qu.mean(axis=0)).sum(axis=-1)
-    return CorpusScores(scores=scores, best=best, u_q=u_q, u_v=u_v, epoch=epoch)
+    return CorpusScores(scores=scores, best=best, u_q=u_q, u_v=u_v)
 
 
 def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
@@ -190,4 +175,4 @@ def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
 
 def map_retrieval_scores(sim_map: CorpusSimilarityMap):
     """Per-pair retrieval scores and best-frame indices from the map."""
-    return _reduce([(0, sim_map.m)], *sim_map.m.shape[:2])
+    return ad.reduce_max(sim_map.m, axis=2)

@@ -13,6 +13,7 @@ checkpoint needs only the config, epoch counter, parameters, and
 optimizer moments to reproduce the remaining trajectory exactly.
 """
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
@@ -21,8 +22,9 @@ import numpy as np
 from . import autodiff as ad
 from .ambiguity import corpus_thresholds, detect_frame_ambiguity, detect_video_ambiguity
 from .config import TrainConfig, train_config_from_text, train_config_text
-from .corpus import FeatureCorpus, _atomic_open
-from .encoder import EncoderDims, EncoderParams, collect_tape, encode_text, encode_video, wrap_params
+from .corpus import FeatureCorpus, _atomic_open, _read_exact
+from .encoder import (_PARAM_ORDER, EncoderDims, EncoderParams, _param_shapes, collect_tape,
+                      encode_text, encode_video, wrap_params)
 from .errors import ConfigError, DimensionError, FormatError, NumericalError
 from .losses import (LossBreakdown, breakdown, forced_negative_sets, grand_total,
                      loss_frame, loss_video)
@@ -75,18 +77,13 @@ def _epoch_rng(base_seed: int, epoch: int):
     return np.random.default_rng(np.random.SeedSequence([base_seed & _SEED_MASK, 2, epoch]))
 
 
-def init_state(corpus: FeatureCorpus, cfg: TrainConfig,
-               theta_seed=None, phi_seed=None) -> DualBranchState:
+def init_state(corpus: FeatureCorpus, cfg: TrainConfig) -> DualBranchState:
     cfg.validate()
     dims = EncoderDims(d_t=corpus.d_t, d_v=corpus.d_v,
                        l_q=corpus.l_q, l_v=corpus.l_v, d=cfg.embed_dim)
-    if theta_seed is None:
-        theta_seed = _branch_seed(cfg.seed, 0)
-    if phi_seed is None:
-        phi_seed = _branch_seed(cfg.seed, 1)
     branches = []
-    for s in (theta_seed, phi_seed):
-        params = EncoderParams.initialize(dims, s)
+    for which in (0, 1):
+        params = EncoderParams.initialize(dims, _branch_seed(cfg.seed, which))
         branches.append(BranchState(params=params, adam=AdamState.zeros(params)))
     return DualBranchState(theta=branches[0], phi=branches[1],
                            epoch=0, seed=cfg.seed, cfg=cfg)
@@ -151,8 +148,8 @@ def step(corpus: FeatureCorpus, pairs, sets, branch: BranchState, cfg: TrainConf
     """One optimizer step for one branch on the given (possibly peer) sets.
 
     sets is (video_sets, frame_sets_or_None); frame_sets None skips the
-    frame objective. Returns (LossBreakdown, GradientTape); the branch's
-    parameters are updated in place.
+    frame objective. Returns (LossBreakdown, tape), the tape a dict of
+    per-parameter gradients; the branch's parameters are updated in place.
     """
     wrapped = wrap_params(branch.params)
     frame_sims, scores, _ = _forward_batch(wrapped, branch.params.dims, corpus.text_features,
@@ -166,8 +163,7 @@ def _epoch_batches(n_q, cfg: TrainConfig, epoch: int):
     return [perm[k * cfg.batch_size:(k + 1) * cfg.batch_size] for k in range(n_full)]
 
 
-def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState = None,
-          theta_seed=None, phi_seed=None):
+def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState = None):
     """Run (or continue) the full training procedure.
 
     Returns (DualBranchState, log_rows); log_rows is a list of per-epoch
@@ -178,7 +174,7 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
     if state is None:
         if cfg is None:
             raise ConfigError("train needs a config or a state to resume")
-        state = init_state(corpus, cfg, theta_seed=theta_seed, phi_seed=phi_seed)
+        state = init_state(corpus, cfg)
     cfg = state.cfg
     if corpus.n_q < cfg.batch_size:
         raise ConfigError(
@@ -259,21 +255,14 @@ def _write_branch(fh, branch: BranchState):
 
 
 def _read_branch(fh, dims: EncoderDims) -> BranchState:
-    from .encoder import _PARAM_ORDER, _param_shapes
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise FormatError("adam_t: file truncated")
-    (t,) = struct.unpack("<Q", raw)
+    (t,) = struct.unpack("<Q", _read_exact(fh, 8, "adam_t"))
     shapes = _param_shapes(dims)
     tensors, m, v = {}, {}, {}
     for name in _PARAM_ORDER:
         shape = shapes[name]
-        count = int(np.prod(shape)) if shape else 1
         out = []
         for part in ("param", "adam_m", "adam_v"):
-            data = fh.read(8 * count)
-            if len(data) != 8 * count:
-                raise FormatError(f"{name}.{part}: file truncated")
+            data = _read_exact(fh, 8 * math.prod(shape), f"{name}.{part}")
             out.append(np.frombuffer(data, dtype="<f8").reshape(shape).copy())
         tensors[name], m[name], v[name] = out
     params = EncoderParams(dims, tensors)
@@ -297,34 +286,20 @@ def checkpoint(state: DualBranchState, path) -> None:
 def resume(path) -> DualBranchState:
     """Load a checkpoint; the embedded config rides along as state.cfg."""
     with open(path, "rb") as fh:
-        head = fh.read(8)
-        if len(head) != 8:
-            raise FormatError("header: file truncated")
-        magic, version = struct.unpack("<4sI", head)
+        magic, version = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
         if magic != CKPT_MAGIC:
             raise FormatError(f"magic: expected {CKPT_MAGIC!r}, got {magic!r}")
         if version != CKPT_VERSION:
             raise FormatError(f"version: unsupported value {version}")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise FormatError("config length: file truncated")
-        (cfg_len,) = struct.unpack("<I", raw)
-        cfg_blob = fh.read(cfg_len)
-        if len(cfg_blob) != cfg_len:
-            raise FormatError("config block: file truncated")
+        (cfg_len,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
+        cfg_blob = _read_exact(fh, cfg_len, "config block")
         try:
             cfg = train_config_from_text(cfg_blob.decode("utf-8"))
         except (ConfigError, ValueError) as exc:
             raise FormatError(f"config block: {exc}") from exc
-        raw = fh.read(20)
-        if len(raw) != 20:
-            raise FormatError("dims: file truncated")
-        d_t, d_v, l_q, l_v, d = struct.unpack("<IIIII", raw)
+        d_t, d_v, l_q, l_v, d = struct.unpack("<IIIII", _read_exact(fh, 20, "dims"))
         dims = EncoderDims(d_t=d_t, d_v=d_v, l_q=l_q, l_v=l_v, d=d)
-        raw = fh.read(12)
-        if len(raw) != 12:
-            raise FormatError("epoch/seed: file truncated")
-        epoch, seed = struct.unpack("<Iq", raw)
+        epoch, seed = struct.unpack("<Iq", _read_exact(fh, 12, "epoch/seed"))
         theta = _read_branch(fh, dims)
         phi = _read_branch(fh, dims)
         if fh.read(1):

@@ -105,18 +105,13 @@ def test_reduce_max_tie_lowest_index():
     assert idx[0] == 0
 
 
-def test_reshape_transpose_take_stack():
+def test_reshape_transpose_take():
     check(lambda v: ad.reduce_sum(ad.mul(ad.reshape(v, (6,)), np.arange(6.0))),
           rng.normal(size=(2, 3)))
     wt = rng.normal(size=(3, 2))
     check(lambda v: ad.reduce_sum(ad.mul(ad.transpose(v, (1, 0)), wt)),
           rng.normal(size=(2, 3)))
     check(lambda v: ad.reduce_sum(ad.take(v, [0, 2, 2], axis=0)), rng.normal(size=(4, 3)))
-
-    def build(v):
-        parts = [ad.take(v, [i], axis=0) for i in range(3)]
-        return ad.reduce_sum(ad.exp(ad.stack(parts, axis=0)))
-    check(build, rng.normal(size=(3, 2)))
 
 
 def test_take_accumulates_repeated_indices():

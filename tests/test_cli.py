@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -107,11 +108,18 @@ def test_invalid_value_exits_3(tmp_path, spec_file):
                  str(tmp_path / "x.prvc"), "--set", "ambiguity_rate=2.0"]) == 3
 
 
-def test_corrupt_corpus_exits_3(tmp_path, train_file):
+def test_corrupt_corpus_exits_3(tmp_path, train_file, capsys):
+    # the second file is 100 bytes whose header declares N_q = 2^31 and
+    # d_t = 2^20: 2^53 bytes of text features
+    crafted = struct.pack("<4sIIIIIIII", b"PRVC", 1, 1 << 31, 1, 1, 1, 1 << 20, 1, 0)
     bad = tmp_path / "bad.prvc"
-    bad.write_bytes(b"not a corpus")
-    assert main(["train", "--corpus", str(bad), "--config", train_file,
-                 "--out", str(tmp_path / "run")]) == 3
+    for data in (b"not a corpus", crafted.ljust(100, b"\0")):
+        bad.write_bytes(data)
+        capsys.readouterr()
+        assert main(["train", "--corpus", str(bad), "--config", train_file,
+                     "--out", str(tmp_path / "run")]) == 3
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("prvr: config-error:")
 
 
 def test_override_applies(tmp_path, spec_file, capsys):
@@ -135,6 +143,14 @@ def test_grad_check_small(capsys):
     assert main(["grad-check", "--seed", "3", "--instances", "2"]) == 0
     out = capsys.readouterr().out
     assert "max_rel_error=" in out
+
+
+@pytest.mark.parametrize("argv", (["--instances", "0"], ["--instances", "-3"],
+                                  ["--seed", "-1"]))
+def test_grad_check_rejects_bad_arguments(capsys, argv):
+    assert main(["grad-check"] + argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: config-error:")
 
 
 def test_training_log_columns(tmp_path, spec_file, train_file):
@@ -186,6 +202,26 @@ def _checkpoint_and_corpus(tmp_path, spec_file, train_file, corpus_overrides=())
     ckpt = str(tmp_path / "model.ckpt")
     checkpoint(state, ckpt)
     return ckpt, corpus_path
+
+
+def test_checkpoint_declaring_huge_tensors_exits_3(tmp_path, spec_file, train_file, capsys):
+    from prvr.errors import FormatError
+    from prvr.trainer import resume
+
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    data = bytearray(open(ckpt, "rb").read())
+    dims = 12 + struct.unpack("<I", data[8:12])[0]
+    # d_t = d = 2^31: text_proj_w alone declares 2^65 bytes
+    data[dims:dims + 20] = struct.pack("<IIIII", 1 << 31, 9, 3, 4, 1 << 31)
+    with open(ckpt, "wb") as fh:
+        fh.write(data)
+    with pytest.raises(FormatError, match=r"^text_proj_w\.param: expected"):
+        resume(ckpt)
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", ckpt, "--corpus", corpus_path,
+                 "--out", str(tmp_path / "report.json")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: config-error: text_proj_w.param:")
 
 
 @pytest.mark.parametrize("command", ("evaluate", "audit"))

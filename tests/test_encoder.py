@@ -132,7 +132,7 @@ def test_constant_loss_gives_zero_gradients(tiny_params):
     wrapped = wrap_params(tiny_params)
     const = ad.Var(np.asarray(3.0))
     tape = collect_tape(wrapped, const)
-    assert all(np.all(g == 0.0) for g in tape.grads.values())
+    assert all(np.all(g == 0.0) for g in tape.values())
 
 
 def test_nonfinite_gradient_names_tensor(tiny_params, tiny_dims):
@@ -206,13 +206,13 @@ def test_batched_gradients_equal_summed_per_instance_gradients(tiny_params, tiny
     wrapped = wrap_params(tiny_params)
     batched = collect_tape(wrapped, objective(encode_text(wrapped, words, tiny_dims),
                                               encode_video(wrapped, frames, tiny_dims)))
-    summed = {name: np.zeros_like(g) for name, g in batched.grads.items()}
+    summed = {name: np.zeros_like(g) for name, g in batched.items()}
     for i in range(b):
         wrapped = wrap_params(tiny_params)
         tape = collect_tape(wrapped, objective(encode_text(wrapped, words[i], tiny_dims),
                                                encode_video(wrapped, frames[i], tiny_dims), i))
-        for name, g in tape.grads.items():
+        for name, g in tape.items():
             summed[name] += g
-    for name, g in batched.grads.items():
+    for name, g in batched.items():
         assert np.abs(g).max() > 0, name
         np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12, err_msg=name)
