@@ -3,8 +3,10 @@
 Lines are `key = value`; blank lines and #-comments are ignored. Unknown
 keys are rejected so typos fail loudly before any work starts.
 
-The key/type schema of each file is read off its config dataclass, and
-the same value conversion parses the config block of a checkpoint.
+The key/type schema of each file is read off its config dataclass. A
+training config renders to one text, resolved_lines; that text is both
+`config.resolved` and the config block of a checkpoint, and it is read
+back by the same line parser and validation as a config file.
 """
 
 from dataclasses import dataclass, field, fields
@@ -20,10 +22,6 @@ class TrainConfig:
     batch_size: int = 32
     warmup_epochs: int = 3
     learning_rate: float = 2e-3
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     seed: int = 0
     cross_model: bool = True
     video_lad: bool = True
@@ -38,11 +36,6 @@ class TrainConfig:
             raise ConfigError("need epochs >= warmup_epochs >= 0")
         if self.learning_rate < 0:
             raise ConfigError("learning_rate must be nonnegative")
-        for b in (self.adam_beta1, self.adam_beta2):
-            if not 0.0 <= b < 1.0:
-                raise ConfigError("adam betas must be in [0, 1)")
-        if self.adam_eps <= 0:
-            raise ConfigError("adam_eps must be positive")
         if self.embed_dim <= 0:
             raise ConfigError("embed_dim must be positive")
         self.loss.validate()
@@ -58,22 +51,27 @@ TRAIN_KEYS = _schema(TrainConfig)
 LOSS_KEYS = _schema(LossConfig)
 
 
-def parse_kv_file(path) -> dict:
+def parse_kv_lines(lines, source) -> dict:
+    """{key: raw value} of key=value lines; `source` names them in errors."""
     entries = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(lines, 1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{path}:{lineno}: expected key=value, got {stripped!r}")
+            raise ConfigError(f"{source}:{lineno}: expected key=value, got {stripped!r}")
         key, _, raw = stripped.partition("=")
         entries[key.strip()] = raw.strip()
     return entries
+
+
+def parse_kv_file(path) -> dict:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_kv_lines(lines, path)
 
 
 def apply_overrides(entries: dict, overrides) -> dict:
@@ -113,36 +111,21 @@ def corpus_spec_from(entries: dict) -> CorpusSpec:
     return spec
 
 
-def _train_config(entries: dict) -> TrainConfig:
+def train_config_from(entries: dict) -> TrainConfig:
     typed = _typed(entries, dict(TRAIN_KEYS, **LOSS_KEYS), "training")
     loss_kwargs = {k: typed.pop(k) for k in LOSS_KEYS if k in typed}
-    return TrainConfig(loss=LossConfig(**loss_kwargs), **typed)
-
-
-def train_config_from(entries: dict) -> TrainConfig:
-    cfg = _train_config(entries)
+    cfg = TrainConfig(loss=LossConfig(**loss_kwargs), **typed)
     cfg.validate()
     return cfg
 
 
-def train_config_text(cfg: TrainConfig) -> str:
-    """Every field as key=repr lines in declaration order, loss fields
-    prefixed "loss."; the config block of a checkpoint."""
-    lines = [f"{k}={getattr(cfg, k)!r}" for k in TRAIN_KEYS]
-    lines += [f"loss.{k}={getattr(cfg.loss, k)!r}" for k in LOSS_KEYS]
-    return "\n".join(lines)
-
-
 def train_config_from_text(text: str) -> TrainConfig:
-    """Inverse of train_config_text; every key must be present."""
-    entries = {}
-    for line in text.splitlines():
-        key, _, raw = line.partition("=")
-        entries[key.removeprefix("loss.")] = raw
+    """Inverse of resolved_lines for a TrainConfig; every key must be present."""
+    entries = parse_kv_lines(text.splitlines(), "line")
     missing = (TRAIN_KEYS.keys() | LOSS_KEYS.keys()) - entries.keys()
     if missing:
         raise ConfigError(f"missing key(s): {', '.join(sorted(missing))}")
-    return _train_config(entries)
+    return train_config_from(entries)
 
 
 def resolved_lines(cfg):

@@ -68,14 +68,12 @@ def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus, uncertainty
 
 
 def _ranks(scores, pairing):
+    """1-based rank of each query's paired video: the videos scoring
+    strictly higher, plus ties at a lower index."""
     n_q, n_v = scores.shape
-    cols = np.arange(n_v)
-    ranks = np.empty(n_q, dtype=np.int64)
-    for i in range(n_q):
-        j = pairing[i]
-        s, s_pos = scores[i], scores[i, j]
-        ranks[i] = 1 + int((s > s_pos).sum()) + int(((s == s_pos) & (cols < j)).sum())
-    return ranks
+    s_pos = scores[np.arange(n_q), pairing][:, None]
+    ahead = (scores > s_pos) | ((scores == s_pos) & (np.arange(n_v) < pairing[:, None]))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def recall_from_scores(scores, pairing) -> RecallReport:

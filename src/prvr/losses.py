@@ -11,8 +11,8 @@ Frame level applies the same functional form inside the paired video
 frame. The warmup objective is the video objective with ambiguous sets
 forced empty.
 
-Exponentials use raw cosine scores (optionally divided by a temperature,
-default 1). Empty contrast sets contribute exact zeros.
+Exponentials use raw cosine scores. Empty contrast sets contribute exact
+zeros.
 """
 
 from dataclasses import dataclass
@@ -36,7 +36,6 @@ class LossConfig:
     margin_m: float = 0.2
     margin_ma: float = 0.1
     lambda_nce: float = 0.02
-    temperature: float = 1.0
 
     def validate(self):
         if self.margin_m < 0 or self.margin_ma < 0:
@@ -46,8 +45,6 @@ class LossConfig:
                 f"margin_ma ({self.margin_ma}) must be smaller than margin_m ({self.margin_m})")
         if self.lambda_nce <= 0:
             raise ConfigError("lambda_nce must be positive")
-        if self.temperature <= 0:
-            raise ConfigError("temperature must be positive")
 
 
 @dataclass
@@ -74,10 +71,10 @@ def _contrast(e_pos, e, amb, neg, axis):
     return ad.sub(ad.log(den), ad.log(num))
 
 
-def _nce_vectors(scores, sets: AmbiguitySets, temperature):
+def _nce_vectors(scores, sets: AmbiguitySets):
     """Per-slot contrastive losses for both directions, as (b,) vectors."""
     b = len(sets.batch)
-    e = ad.exp(ad.div(scores, float(temperature)))
+    e = ad.exp(scores)
     flat = ad.reshape(e, (b * b,))
     diag = ad.take(flat, np.arange(b) * (b + 1))
     amb_mask = sets.amb.astype(np.float64)
@@ -86,23 +83,23 @@ def _nce_vectors(scores, sets: AmbiguitySets, temperature):
             _contrast(diag, e, amb_mask, neg_mask, axis=0))
 
 
-def loss_nce_t2v(pair_slot, scores, sets: AmbiguitySets, temperature=1.0):
+def loss_nce_t2v(pair_slot, scores, sets: AmbiguitySets):
     """Contrastive loss of one positive pair, query anchored over videos."""
-    t2v, _ = _nce_vectors(scores, sets, temperature)
+    t2v, _ = _nce_vectors(scores, sets)
     return _scalar(ad.val(t2v)[pair_slot]) if not isinstance(t2v, ad.Var) \
         else ad.reshape(ad.take(t2v, [pair_slot]), ())
 
 
-def loss_nce_v2t(pair_slot, scores, sets: AmbiguitySets, temperature=1.0):
+def loss_nce_v2t(pair_slot, scores, sets: AmbiguitySets):
     """Contrastive loss of one positive pair, video anchored over queries."""
-    _, v2t = _nce_vectors(scores, sets, temperature)
+    _, v2t = _nce_vectors(scores, sets)
     return _scalar(ad.val(v2t)[pair_slot]) if not isinstance(v2t, ad.Var) \
         else ad.reshape(ad.take(v2t, [pair_slot]), ())
 
 
-def loss_nce(scores, sets: AmbiguitySets, temperature=1.0):
+def loss_nce(scores, sets: AmbiguitySets):
     """Batch means of the two contrastive directions."""
-    t2v, v2t = _nce_vectors(scores, sets, temperature)
+    t2v, v2t = _nce_vectors(scores, sets)
     return ad.reduce_mean(t2v), ad.reduce_mean(v2t)
 
 
@@ -148,7 +145,7 @@ def loss_triplet(scores, sets: AmbiguitySets, margin, mode):
 
 def loss_video(scores, sets: AmbiguitySets, cfg: LossConfig):
     """Combined video-level objective; returns a dict of components."""
-    nce_t2v, nce_v2t = loss_nce(scores, sets, cfg.temperature)
+    nce_t2v, nce_v2t = loss_nce(scores, sets)
     trip_a = loss_triplet(scores, sets, cfg.margin_ma, "ambiguous")
     trip_n = loss_triplet(scores, sets, cfg.margin_m, "negative")
     total = ad.add(ad.add(ad.mul(ad.add(nce_t2v, nce_v2t), cfg.lambda_nce), trip_a), trip_n)
@@ -178,15 +175,15 @@ def loss_frame(frame_sims, frames: FrameSets, cfg: LossConfig):
     sel_idx = (slots[None, :] * b + slots[:, None]) * l_v + k_hat[:, None]
     anchor_idx = slots * (b + 1) * l_v + k_hat
 
-    def exp_t(idx):
-        return ad.exp(ad.div(ad.take(flat, idx), float(cfg.temperature)))
+    def exp_at(idx):
+        return ad.exp(ad.take(flat, idx))
 
     amb_f, neg_f = frames.amb_frame_mask, frames.neg_frame_mask
     amb_q, neg_q = frames.amb_query_mask, frames.neg_query_mask
-    e_anchor = exp_t(anchor_idx)
+    e_anchor = exp_at(anchor_idx)
     nce = ad.add(
-        _contrast(e_anchor, exp_t(own_idx), amb_f.astype(np.float64), neg_f.astype(np.float64), 1),
-        _contrast(e_anchor, exp_t(sel_idx), amb_q.astype(np.float64), neg_q.astype(np.float64), 1))
+        _contrast(e_anchor, exp_at(own_idx), amb_f.astype(np.float64), neg_f.astype(np.float64), 1),
+        _contrast(e_anchor, exp_at(sel_idx), amb_q.astype(np.float64), neg_q.astype(np.float64), 1))
     nce = ad.div(ad.reduce_sum(nce), float(b))
 
     fv = np.asarray(ad.val(frame_sims), dtype=np.float64).reshape(-1)

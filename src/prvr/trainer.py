@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .ambiguity import corpus_thresholds, detect_frame_ambiguity, detect_video_ambiguity
-from .config import TrainConfig, train_config_from_text, train_config_text
+from .config import TrainConfig, resolved_lines, train_config_from_text
 from .corpus import FeatureCorpus, _atomic_open, _read_exact
 from .encoder import (_PARAM_ORDER, EncoderDims, EncoderParams, _param_shapes, collect_tape,
                       encode_text, encode_video, wrap_params)
@@ -31,8 +31,9 @@ from .losses import (LossBreakdown, breakdown, forced_negative_sets, grand_total
 from .similarity import cosine_pairs
 
 CKPT_MAGIC = b"PRVK"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Logged per branch as means over an epoch's batches: the loss components,
 # then the detected-set sizes per pair.
@@ -64,7 +65,6 @@ class DualBranchState:
     theta: BranchState
     phi: BranchState
     epoch: int              # completed epochs
-    seed: int
     cfg: TrainConfig
 
 
@@ -85,8 +85,7 @@ def init_state(corpus: FeatureCorpus, cfg: TrainConfig) -> DualBranchState:
     for which in (0, 1):
         params = EncoderParams.initialize(dims, _branch_seed(cfg.seed, which))
         branches.append(BranchState(params=params, adam=AdamState.zeros(params)))
-    return DualBranchState(theta=branches[0], phi=branches[1],
-                           epoch=0, seed=cfg.seed, cfg=cfg)
+    return DualBranchState(theta=branches[0], phi=branches[1], epoch=0, cfg=cfg)
 
 
 def check_corpus_dims(state: DualBranchState, corpus: FeatureCorpus) -> None:
@@ -116,17 +115,13 @@ def _forward_batch(params_or_wrapped, dims, text, video, pairs):
 def _adam_update(branch: BranchState, tape, cfg: TrainConfig):
     st = branch.adam
     st.t += 1
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     for name in branch.params.names():
         g = tape[name]
-        st.m[name] = b1 * st.m[name] + (1.0 - b1) * g
-        st.v[name] = b2 * st.v[name] + (1.0 - b2) * (g * g)
-        m_hat = st.m[name] / (1.0 - b1 ** st.t)
-        v_hat = st.v[name] / (1.0 - b2 ** st.t)
-        p = branch.params.tensors[name]
-        if cfg.weight_decay:
-            p -= cfg.learning_rate * cfg.weight_decay * p
-        p -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        st.m[name] = ADAM_BETA1 * st.m[name] + (1.0 - ADAM_BETA1) * g
+        st.v[name] = ADAM_BETA2 * st.v[name] + (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = st.m[name] / (1.0 - ADAM_BETA1 ** st.t)
+        v_hat = st.v[name] / (1.0 - ADAM_BETA2 ** st.t)
+        branch.params.tensors[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 def _update(branch: BranchState, wrapped, frame_sims, scores, sets, cfg: TrainConfig):
@@ -270,21 +265,23 @@ def _read_branch(fh, dims: EncoderDims) -> BranchState:
 
 
 def checkpoint(state: DualBranchState, path) -> None:
-    """Serialize the full training state (pure w.r.t. state)."""
-    cfg_blob = train_config_text(state.cfg).encode("utf-8")
+    """Serialize the full training state (pure w.r.t. state); the config
+    block is byte-equal to the `config.resolved` of the run."""
+    cfg_blob = ("\n".join(resolved_lines(state.cfg)) + "\n").encode("utf-8")
     dims = state.theta.params.dims
     with _atomic_open(path, "wb") as fh:
         fh.write(struct.pack("<4sI", CKPT_MAGIC, CKPT_VERSION))
         fh.write(struct.pack("<I", len(cfg_blob)))
         fh.write(cfg_blob)
-        fh.write(struct.pack("<IIIII", dims.d_t, dims.d_v, dims.l_q, dims.l_v, dims.d))
-        fh.write(struct.pack("<Iq", state.epoch, state.seed))
+        fh.write(struct.pack("<IIII", dims.d_t, dims.d_v, dims.l_q, dims.l_v))
+        fh.write(struct.pack("<I", state.epoch))
         _write_branch(fh, state.theta)
         _write_branch(fh, state.phi)
 
 
 def resume(path) -> DualBranchState:
-    """Load a checkpoint; the embedded config rides along as state.cfg."""
+    """Load a checkpoint; the embedded config, validated like a config
+    file, rides along as state.cfg and gives the embedding width."""
     with open(path, "rb") as fh:
         magic, version = struct.unpack("<4sI", _read_exact(fh, 8, "header"))
         if magic != CKPT_MAGIC:
@@ -297,11 +294,11 @@ def resume(path) -> DualBranchState:
             cfg = train_config_from_text(cfg_blob.decode("utf-8"))
         except (ConfigError, ValueError) as exc:
             raise FormatError(f"config block: {exc}") from exc
-        d_t, d_v, l_q, l_v, d = struct.unpack("<IIIII", _read_exact(fh, 20, "dims"))
-        dims = EncoderDims(d_t=d_t, d_v=d_v, l_q=l_q, l_v=l_v, d=d)
-        epoch, seed = struct.unpack("<Iq", _read_exact(fh, 12, "epoch/seed"))
+        d_t, d_v, l_q, l_v = struct.unpack("<IIII", _read_exact(fh, 16, "dims"))
+        dims = EncoderDims(d_t=d_t, d_v=d_v, l_q=l_q, l_v=l_v, d=cfg.embed_dim)
+        (epoch,) = struct.unpack("<I", _read_exact(fh, 4, "epoch"))
         theta = _read_branch(fh, dims)
         phi = _read_branch(fh, dims)
         if fh.read(1):
             raise FormatError("payload: unexpected trailing bytes")
-    return DualBranchState(theta=theta, phi=phi, epoch=epoch, seed=seed, cfg=cfg)
+    return DualBranchState(theta=theta, phi=phi, epoch=epoch, cfg=cfg)

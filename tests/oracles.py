@@ -139,7 +139,7 @@ def loop_loss_frame(frame_sims, frames, cfg):
         return {"nce": 0.0, "trip_a": 0.0, "trip_n": 0.0, "total": 0.0}
 
     flat = ad.reshape(frame_sims, (b * b * l_v,))
-    e_flat = ad.exp(ad.div(flat, float(cfg.temperature)))
+    e_flat = ad.exp(flat)
     fv = np.asarray(ad.val(frame_sims), dtype=np.float64)
 
     def fidx(x, p, k):

@@ -61,8 +61,10 @@ def test_full_pipeline(tmp_path, spec_file, train_file, capsys):
                  "--out", out_dir]) == 0
     assert os.path.isfile(os.path.join(out_dir, "checkpoint.ckpt"))
     assert os.path.isfile(os.path.join(out_dir, "training_log.csv"))
-    resolved = open(os.path.join(out_dir, "config.resolved")).read()
-    assert "epochs=3" in resolved and "margin_m=0.2" in resolved
+    resolved = open(os.path.join(out_dir, "config.resolved"), "rb").read()
+    assert b"epochs=3" in resolved and b"margin_m=0.2" in resolved
+    ckpt = open(os.path.join(out_dir, "checkpoint.ckpt"), "rb").read()
+    assert _config_block(ckpt) == resolved
 
     report_path = str(tmp_path / "report.json")
     assert main(["evaluate", "--checkpoint", os.path.join(out_dir, "checkpoint.ckpt"),
@@ -153,6 +155,29 @@ def test_grad_check_rejects_bad_arguments(capsys, argv):
     assert len(err) == 1 and err[0].startswith("prvr: config-error:")
 
 
+@pytest.mark.parametrize("key", ("temperature=0.5", "adam_eps=1e-9"))
+def test_retired_training_keys_exit_3(tmp_path, spec_file, train_file, capsys, key):
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    capsys.readouterr()
+    assert main(["train", "--corpus", corpus_path, "--config", train_file,
+                 "--out", str(tmp_path / "run"), "--set", key]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unknown training key(s)" in err[0]
+
+
+@pytest.mark.parametrize("seed", (1 << 63, -(1 << 63) - 1))
+def test_seed_outside_int64_round_trips(tmp_path, spec_file, train_file, seed):
+    from prvr.trainer import resume
+
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    out_dir = tmp_path / "run"
+    assert main(["train", "--corpus", corpus_path, "--config", train_file,
+                 "--out", str(out_dir), "--set", f"seed={seed}"]) == 0
+    assert resume(out_dir / "checkpoint.ckpt").cfg.seed == seed
+
+
 def test_training_log_columns(tmp_path, spec_file, train_file):
     corpus_path = str(tmp_path / "c.prvc")
     main(["gen-corpus", "--spec", spec_file, "--out", corpus_path])
@@ -204,6 +229,49 @@ def _checkpoint_and_corpus(tmp_path, spec_file, train_file, corpus_overrides=())
     return ckpt, corpus_path
 
 
+def _config_block(data):
+    (n,) = struct.unpack("<I", data[8:12])
+    return data[12:12 + n]
+
+
+def _evaluate_fails(tmp_path, ckpt, corpus_path, capsys, prefix):
+    """evaluate exits 3 with one stderr line that starts with `prefix`."""
+    capsys.readouterr()
+    assert main(["evaluate", "--checkpoint", ckpt, "--corpus", corpus_path,
+                 "--out", str(tmp_path / "report.json")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(prefix)
+
+
+def test_version_1_checkpoint_exits_3(tmp_path, spec_file, train_file, capsys):
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    data = bytearray(open(ckpt, "rb").read())
+    data[4:8] = struct.pack("<I", 1)
+    with open(ckpt, "wb") as fh:
+        fh.write(data)
+    _evaluate_fails(tmp_path, ckpt, corpus_path, capsys,
+                    "prvr: config-error: version: unsupported value 1")
+
+
+@pytest.mark.parametrize("old, new", (
+    (b"margin_m=0.2\nmargin_ma=0.1\n", b"margin_m=0.1\nmargin_ma=0.3\n"),
+    (b"batch_size=4\n", b"batch_size=1\n")))
+def test_invalid_config_block_exits_3(tmp_path, spec_file, train_file, capsys, old, new):
+    from prvr.errors import FormatError
+    from prvr.trainer import resume
+
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    data = open(ckpt, "rb").read()
+    block = _config_block(data)
+    assert old in block
+    bad = block.replace(old, new)
+    with open(ckpt, "wb") as fh:
+        fh.write(data[:8] + struct.pack("<I", len(bad)) + bad + data[12 + len(block):])
+    with pytest.raises(FormatError, match="^config block: "):
+        resume(ckpt)
+    _evaluate_fails(tmp_path, ckpt, corpus_path, capsys, "prvr: config-error: config block: ")
+
+
 def test_checkpoint_declaring_huge_tensors_exits_3(tmp_path, spec_file, train_file, capsys):
     from prvr.errors import FormatError
     from prvr.trainer import resume
@@ -211,17 +279,13 @@ def test_checkpoint_declaring_huge_tensors_exits_3(tmp_path, spec_file, train_fi
     ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
     data = bytearray(open(ckpt, "rb").read())
     dims = 12 + struct.unpack("<I", data[8:12])[0]
-    # d_t = d = 2^31: text_proj_w alone declares 2^65 bytes
-    data[dims:dims + 20] = struct.pack("<IIIII", 1 << 31, 9, 3, 4, 1 << 31)
+    # d_t = 2^31 with embed_dim = 10: text_proj_w alone declares 2^34 * 10 bytes
+    data[dims:dims + 16] = struct.pack("<IIII", 1 << 31, 9, 3, 4)
     with open(ckpt, "wb") as fh:
         fh.write(data)
     with pytest.raises(FormatError, match=r"^text_proj_w\.param: expected"):
         resume(ckpt)
-    capsys.readouterr()
-    assert main(["evaluate", "--checkpoint", ckpt, "--corpus", corpus_path,
-                 "--out", str(tmp_path / "report.json")]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("prvr: config-error: text_proj_w.param:")
+    _evaluate_fails(tmp_path, ckpt, corpus_path, capsys, "prvr: config-error: text_proj_w.param:")
 
 
 @pytest.mark.parametrize("command", ("evaluate", "audit"))

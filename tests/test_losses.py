@@ -397,7 +397,7 @@ def _random_frame_case(rng, regime, l_v=None):
 
 def test_loss_frame_matches_loop_oracle_in_value_and_gradient():
     rng = np.random.default_rng(16)
-    cfg = LossConfig(lambda_nce=0.5, temperature=0.7)
+    cfg = LossConfig(lambda_nce=0.5)
     seen = set()
     for trial in range(90):
         regime = _REGIMES[trial % 3]
