@@ -14,10 +14,11 @@ instance values at the pair's best frame. Thresholds are recomputed every
 epoch: tau_s as the mean positive-pair retrieval score, tau_u as the mean
 pair uncertainty over all train pairs.
 
-Training reads the tables in closed form off similarity.score_corpus
-(corpus_thresholds). The map-form functions compute_uncertainty and
-compute_thresholds average a whole CorpusSimilarityMap directly; they
-are the definition the closed form is tested against.
+Training reads the tables (similarity.UncertaintyTables, re-exported
+here) in closed form off similarity.score_corpus (corpus_thresholds).
+The map-form functions compute_uncertainty and compute_thresholds
+average a whole CorpusSimilarityMap directly; they are the definition
+the closed form is tested against.
 """
 
 from dataclasses import dataclass, field
@@ -25,21 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .similarity import CorpusSimilarityMap, map_retrieval_scores, score_corpus
-
-
-@dataclass
-class UncertaintyTables:
-    u_q: np.ndarray          # (N_q,)
-    u_v: np.ndarray          # (N_v, L_v)
-    epoch: int
+from .similarity import (CorpusSimilarityMap, UncertaintyTables, map_retrieval_scores,
+                         score_corpus)
 
 
 @dataclass
 class Thresholds:
     tau_s: float
     tau_u: float
-    epoch: int
 
 
 @dataclass
@@ -74,13 +68,12 @@ class FrameSets:
 class AmbiguitySets:
     """Video-level ambiguity for one mini-batch, as (b, b) slot masks.
 
-    Slots are batch positions; batch[p] = (query index, video index).
-    Rows are query slots, columns video slots. pos marks pairs of one
-    video (so duplicate captions of a video are never negatives of each
-    other), amb the ambiguous pairs, and neg the rest.
+    Slots are batch positions, b = len(pos). Rows are query slots,
+    columns video slots. pos marks pairs of one video (so duplicate
+    captions of a video are never negatives of each other), amb the
+    ambiguous pairs, and neg the rest.
     """
 
-    batch: list
     pos: np.ndarray = field(repr=False)
     amb: np.ndarray = field(repr=False)
 
@@ -92,7 +85,7 @@ class AmbiguitySets:
 def compute_uncertainty(sim_map: CorpusSimilarityMap) -> UncertaintyTables:
     """Average the similarity map into per-query and per-frame tables."""
     m = sim_map.m
-    return UncertaintyTables(u_q=m.mean(axis=(1, 2)), u_v=m.mean(axis=0), epoch=sim_map.epoch)
+    return UncertaintyTables(u_q=m.mean(axis=(1, 2)), u_v=m.mean(axis=0))
 
 
 def pair_uncertainties(u_q, u_v, best):
@@ -103,13 +96,13 @@ def pair_uncertainties(u_q, u_v, best):
     return u
 
 
-def threshold_schedule(scores, pair_u, pairing, epoch) -> Thresholds:
+def threshold_schedule(scores, pair_u, pairing) -> Thresholds:
     """The per-epoch thresholds: tau_s the mean positive-pair score, tau_u
     the mean of the (N_q, N_v) pair uncertainties `pair_u`."""
     if len(pairing) == 0:
         raise ConfigError("cannot compute thresholds on an empty train set")
     tau_s = float(scores[np.arange(scores.shape[0]), pairing].mean())
-    return Thresholds(tau_s=tau_s, tau_u=float(pair_u.mean()), epoch=epoch)
+    return Thresholds(tau_s=tau_s, tau_u=float(pair_u.mean()))
 
 
 def is_ambiguous(scores, pair_u, thr: Thresholds):
@@ -123,20 +116,19 @@ def compute_thresholds(sim_map: CorpusSimilarityMap, pairing: np.ndarray,
     """Per-epoch thresholds from the current map and tables."""
     scores, best = map_retrieval_scores(sim_map)
     return threshold_schedule(scores, pair_uncertainties(tables.u_q, tables.u_v, best),
-                              pairing, sim_map.epoch)
+                              pairing)
 
 
-def corpus_thresholds(params, corpus, epoch: int):
+def corpus_thresholds(params, corpus):
     """One branch's per-epoch (UncertaintyTables, Thresholds), streamed.
 
     Matches compute_uncertainty and compute_thresholds on build_corpus_map's
     map without holding it: tau_s bitwise, the tables and tau_u up to the
     closed form's rounding.
     """
-    r = score_corpus(params, corpus)
-    tables = UncertaintyTables(u_q=r.u_q, u_v=r.u_v, epoch=epoch)
-    return tables, threshold_schedule(r.scores, pair_uncertainties(r.u_q, r.u_v, r.best),
-                                      corpus.pairing, epoch)
+    scores, best, tables = score_corpus(params, corpus)
+    return tables, threshold_schedule(scores, pair_uncertainties(tables.u_q, tables.u_v, best),
+                                      corpus.pairing)
 
 
 def detect_video_ambiguity(batch, scores, best_frames,
@@ -156,7 +148,7 @@ def detect_video_ambiguity(batch, scores, best_frames,
     pos = v_idx[:, None] == v_idx[None, :]
     u = pair_uncertainties(tables.u_q[q_idx], tables.u_v[v_idx], best_frames)
     amb = (~pos) & is_ambiguous(scores, u, thresholds)
-    return AmbiguitySets(batch=list(batch), pos=pos, amb=amb)
+    return AmbiguitySets(pos=pos, amb=amb)
 
 
 def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,

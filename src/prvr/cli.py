@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: gen-corpus, train, evaluate, audit, grad-check.
-Exit codes: 0 success, 2 usage, 3 config, format, dimension or I/O
-error, 4 numerical abort.
+Exit codes: 0 success, 2 usage, 3 config, format, dimension, I/O or
+memory error, 4 numerical abort.
 Every command prints its fully resolved configuration so a run can be
 reproduced from the log alone.
 """
@@ -204,6 +204,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"prvr: io-error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"prvr: memory-error: {exc or 'allocation failed'}", file=sys.stderr)
         return 3
     except NumericalError as exc:
         print(f"prvr: numerical-error: {exc}", file=sys.stderr)

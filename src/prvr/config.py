@@ -9,6 +9,7 @@ training config renders to one text, resolved_lines; that text is both
 back by the same line parser and validation as a config file.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .corpus import CorpusSpec
@@ -34,8 +35,9 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 2 (contrastive losses need an unpaired member)")
         if self.warmup_epochs < 0 or self.epochs < self.warmup_epochs:
             raise ConfigError("need epochs >= warmup_epochs >= 0")
-        if self.learning_rate < 0:
-            raise ConfigError("learning_rate must be nonnegative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigError(
+                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}")
         if self.embed_dim <= 0:
             raise ConfigError("embed_dim must be positive")
         self.loss.validate()

@@ -62,8 +62,9 @@ class CorpusSpec:
                 raise ConfigError(f"{name} must be a positive integer, got {v!r}")
         if not 0.0 <= self.ambiguity_rate <= 1.0:
             raise ConfigError(f"ambiguity_rate must be in [0, 1], got {self.ambiguity_rate!r}")
-        if self.noise_scale < 0.0:
-            raise ConfigError(f"noise_scale must be nonnegative, got {self.noise_scale!r}")
+        if not (np.isfinite(self.noise_scale) and self.noise_scale >= 0.0):
+            raise ConfigError(
+                f"noise_scale must be finite and nonnegative, got {self.noise_scale!r}")
         if self.l_v < self.segments_per_video:
             raise ConfigError(
                 f"l_v ({self.l_v}) must be >= segments_per_video ({self.segments_per_video})")

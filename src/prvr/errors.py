@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto process exit codes (config, format, dimension
-and OS errors -> 3, numerical -> 4), so library code should raise the
+The CLI maps these onto process exit codes (config, format, dimension,
+OS and memory errors -> 3, numerical -> 4), so library code should raise the
 most specific class that applies.
 """
 

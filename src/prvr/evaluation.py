@@ -52,8 +52,8 @@ class AuditReport:
 
 def _branch_scores(params, corpus: FeatureCorpus, uncertainty: bool):
     """One branch's (scores, pair uncertainties or None), each (N_q, N_v)."""
-    r = score_corpus(params, corpus)
-    return r.scores, (pair_uncertainties(r.u_q, r.u_v, r.best) if uncertainty else None)
+    scores, best, tables = score_corpus(params, corpus)
+    return scores, (pair_uncertainties(tables.u_q, tables.u_v, best) if uncertainty else None)
 
 
 def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus, uncertainty: bool = True):
@@ -130,7 +130,7 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     pos[np.arange(n_q), corpus.pairing] = True
     unp = ~pos
 
-    thr = threshold_schedule(fused_s, fused_u, corpus.pairing, state.epoch)
+    thr = threshold_schedule(fused_s, fused_u, corpus.pairing)
     detected_mask = unp & is_ambiguous(fused_s, fused_u, thr)
 
     planted = corpus.planted_ambiguity

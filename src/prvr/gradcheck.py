@@ -38,7 +38,6 @@ def _random_instance(seed):
     tables = UncertaintyTables(
         u_q=rng.uniform(-0.2, 0.6, size=b),
         u_v=rng.uniform(-0.2, 0.6, size=(b, dims.l_v)),
-        epoch=0,
     )
     # thresholds at the medians so ambiguous, negative, and frame sets
     # are all usually non-empty and every loss path carries gradient
@@ -46,7 +45,7 @@ def _random_instance(seed):
     off = ~np.eye(b, dtype=bool)
     u = pair_uncertainties(tables.u_q, tables.u_v, best)
     thr = Thresholds(tau_s=float(np.median(scores[off])),
-                     tau_u=float(np.median(u[off])), epoch=0)
+                     tau_u=float(np.median(u[off])))
     vsets = detect_video_ambiguity(pairs, scores, best, tables, thr)
     fsets = detect_frame_ambiguity(pairs, frame_sims, tables, thr)
     lcfg = LossConfig()

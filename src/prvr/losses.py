@@ -15,7 +15,8 @@ Exponentials use raw cosine scores. Empty contrast sets contribute exact
 zeros.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +39,9 @@ class LossConfig:
     lambda_nce: float = 0.02
 
     def validate(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.margin_m < 0 or self.margin_ma < 0:
             raise ConfigError("margins must be nonnegative")
         if not self.margin_ma < self.margin_m:
@@ -73,7 +77,7 @@ def _contrast(e_pos, e, amb, neg, axis):
 
 def _nce_vectors(scores, sets: AmbiguitySets):
     """Per-slot contrastive losses for both directions, as (b,) vectors."""
-    b = len(sets.batch)
+    b = len(sets.pos)
     e = ad.exp(scores)
     flat = ad.reshape(e, (b * b,))
     diag = ad.take(flat, np.arange(b) * (b + 1))
@@ -132,7 +136,7 @@ def loss_triplet(scores, sets: AmbiguitySets, margin, mode):
         mask = sets.neg
     else:
         raise ConfigError(f"unknown triplet mode {mode!r}")
-    b = len(sets.batch)
+    b = len(sets.pos)
     sv = np.asarray(ad.val(scores), dtype=np.float64)
     slots = np.arange(b)
     video, row_ok = _hardest(sv, mask)          # hardest contrast video per query slot
@@ -206,7 +210,7 @@ def forced_negative_sets(batch) -> AmbiguitySets:
     """Video-level sets with every non-positive slot treated as negative."""
     v_idx = np.asarray([v for _, v in batch])
     pos = v_idx[:, None] == v_idx[None, :]
-    return AmbiguitySets(batch=list(batch), pos=pos, amb=np.zeros_like(pos))
+    return AmbiguitySets(pos=pos, amb=np.zeros_like(pos))
 
 
 def loss_warmup(scores, batch, cfg: LossConfig):

@@ -9,14 +9,15 @@ axis is bitwise shape-independent, so the batched map equals per-entry
 scalar calls exactly. GEMM does not have that property.
 
 Corpus scoring never holds the whole map. `score_corpus` encodes each
-side once and walks the queries in chunks of about _CHUNK_BYTES: the
-kernel fills one (chunk, N_v, L_v) block, and `autodiff.reduce_max`
-folds it into per-pair scores and best frames. Memory is O(N_q * N_v)
-plus one chunk. `build_corpus_map` keeps the map form for tests and
-tools; it runs the same kernel, and `map_retrieval_scores` the same
-reducer, so scores and best frames are bitwise equal in both forms.
+side once and walks the queries in chunks of about _TILE_BYTES, the one
+byte budget that also sizes the kernel's product buffer: the kernel
+fills one (chunk, N_v, L_v) block, and `autodiff.reduce_max` folds it
+into per-pair scores and best frames. Memory is O(N_q * N_v) plus one
+chunk. `build_corpus_map` keeps the map form for tests and tools; it
+runs the same kernel, and `map_retrieval_scores` the same reducer, so
+scores and best frames are bitwise equal in both forms.
 
-The uncertainty tables are the map's means over each query's row and
+The UncertaintyTables are the map's means over each query's row and
 over the queries. The map is linear in each unit embedding, so they are
 u_q = qu . mean(fu) and u_v = fu . mean(qu), O((N_q + N_v * L_v) * d)
 work beside the map. They differ from the map's direct means only by
@@ -32,34 +33,24 @@ from . import autodiff as ad
 from .encoder import encode_text, encode_video
 from .errors import NumericalError
 
-# Bytes of one query chunk of the map, and of the product buffer of one
-# (query, video) tile; the row and tile counts derive from the shapes.
-_CHUNK_BYTES = 1 << 20
+# The one byte budget: of a query chunk of the map, and of the product
+# buffer of one (query, video) tile; row and tile counts derive from it.
 _TILE_BYTES = 1 << 20
 
 
 @dataclass
 class CorpusSimilarityMap:
-    """m[x, y, z] = cosine(query x, frame z of video y) at `epoch`."""
+    """m[x, y, z] = cosine(query x, frame z of video y); perfbench's map hook reads `.m`."""
 
     m: np.ndarray
-    epoch: int
 
 
 @dataclass
-class CorpusScores:
-    """Per-pair retrieval over a corpus.
+class UncertaintyTables:
+    """The map's means over each query's row and over the queries."""
 
-    scores[x, y] is the max frame cosine of query x in video y and
-    best[x, y] its frame (ties -> lowest index), both (N_q, N_v). u_q
-    (N_q,) and u_v (N_v, L_v) are the map's means over each query's row
-    and over the queries, in closed form.
-    """
-
-    scores: np.ndarray
-    best: np.ndarray
-    u_q: np.ndarray
-    u_v: np.ndarray
+    u_q: np.ndarray          # (N_q,)
+    u_v: np.ndarray          # (N_v, L_v)
 
 
 def _unit(x):
@@ -139,17 +130,18 @@ def _fill_map(qu, fu, out):
             prod.sum(axis=-1, out=out[x0:x0 + tq, y0:y0 + tv])
 
 
-def score_corpus(params, corpus) -> CorpusScores:
-    """Per-pair scores streamed over query chunks, and the uncertainty tables.
+def score_corpus(params, corpus):
+    """(scores, best, UncertaintyTables), streamed over query chunks.
 
-    Holds one chunk of the map at a time. Scores and best frames are
-    bitwise equal to reducing build_corpus_map; the tables are closed form.
+    scores[x, y] is the max frame cosine of query x in video y and
+    best[x, y] its frame (ties -> lowest index), both (N_q, N_v); they
+    are bitwise equal to reducing build_corpus_map.
     """
     qu, fu = _unit_embeddings(params, corpus)
     (n_q, d), (n_v, l_v, _) = qu.shape, fu.shape
     scores = np.empty((n_q, n_v))
     best = np.empty((n_q, n_v), dtype=np.intp)
-    rows = max(1, min(n_q, _CHUNK_BYTES // (n_v * l_v * 8)))
+    rows = max(1, min(n_q, _TILE_BYTES // (n_v * l_v * 8)))
     block = np.empty((rows, n_v, l_v))
     for x0 in range(0, n_q, rows):
         span = slice(x0, x0 + rows)
@@ -158,10 +150,10 @@ def score_corpus(params, corpus) -> CorpusScores:
         scores[span], best[span] = ad.reduce_max(chunk, axis=2)
     u_q = (qu * fu.reshape(-1, d).mean(axis=0)).sum(axis=-1)
     u_v = (fu * qu.mean(axis=0)).sum(axis=-1)
-    return CorpusScores(scores=scores, best=best, u_q=u_q, u_v=u_v)
+    return scores, best, UncertaintyTables(u_q=u_q, u_v=u_v)
 
 
-def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
+def build_corpus_map(params, corpus) -> CorpusSimilarityMap:
     """The whole N_q x N_v x L_v cosine map, for tests and tools.
 
     Same encodes and kernel as score_corpus; each entry equals
@@ -170,7 +162,7 @@ def build_corpus_map(params, corpus, epoch: int = 0) -> CorpusSimilarityMap:
     qu, fu = _unit_embeddings(params, corpus)
     m = np.empty((len(qu),) + fu.shape[:2])
     _fill_map(qu, fu, m)
-    return CorpusSimilarityMap(m=m, epoch=epoch)
+    return CorpusSimilarityMap(m=m)
 
 
 def map_retrieval_scores(sim_map: CorpusSimilarityMap):

@@ -184,7 +184,7 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
     for epoch in range(state.epoch + 1, cfg.epochs + 1):
         lad_active = epoch > cfg.warmup_epochs and (cfg.video_lad or cfg.frame_lad)
         # per branch (UncertaintyTables, Thresholds), or Nones in warmup
-        epoch_ctx = [corpus_thresholds(branch.params, corpus, epoch) if lad_active
+        epoch_ctx = [corpus_thresholds(branch.params, corpus) if lad_active
                      else (None, None) for branch in branches]
 
         sums = [dict.fromkeys(_SUM_COLUMNS, 0.0) for _ in branches]
@@ -258,7 +258,10 @@ def _read_branch(fh, dims: EncoderDims) -> BranchState:
         out = []
         for part in ("param", "adam_m", "adam_v"):
             data = _read_exact(fh, 8 * math.prod(shape), f"{name}.{part}")
-            out.append(np.frombuffer(data, dtype="<f8").reshape(shape).copy())
+            arr = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
+            if not np.isfinite(arr).all():
+                raise FormatError(f"{name}.{part}: non-finite value")
+            out.append(arr)
         tensors[name], m[name], v[name] = out
     params = EncoderParams(dims, tensors)
     return BranchState(params=params, adam=AdamState(m=m, v=v, t=t))

@@ -98,7 +98,7 @@ def loop_loss_triplet(scores, sets, margin, mode):
     from prvr import autodiff as ad
 
     mask = sets.amb if mode == "ambiguous" else (~sets.pos) & (~sets.amb)
-    b = len(sets.batch)
+    b = len(sets.pos)
     sv = np.asarray(ad.val(scores), dtype=np.float64)
     flat = ad.reshape(scores, (b * b,))
 

@@ -72,9 +72,9 @@ def test_accept_02_lad_brute_force_equivalence():
         best = rng.integers(0, l_v, size=(b, b))
         frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
         tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=n_q),
-                                   u_v=rng.uniform(-1, 1, size=(n_v, l_v)), epoch=0)
+                                   u_v=rng.uniform(-1, 1, size=(n_v, l_v)))
         thr = Thresholds(tau_s=float(rng.uniform(-0.6, 0.6)),
-                         tau_u=float(rng.uniform(-0.6, 0.6)), epoch=0)
+                         tau_u=float(rng.uniform(-0.6, 0.6)))
 
         sets = detect_video_ambiguity(batch, scores, best, tables, thr)
         want = brute_force_video_sets(batch, scores, best, tables, thr)
@@ -124,10 +124,10 @@ def test_accept_04_uncertainty_direct_average():
     worst = 0.0
     for n_q, n_v, l_v in ((50, 30, 8), (17, 9, 5), (3, 2, 1)):
         m = rng.uniform(-1, 1, size=(n_q, n_v, l_v))
-        tables = compute_uncertainty(CorpusSimilarityMap(m=m, epoch=0))
+        tables = compute_uncertainty(CorpusSimilarityMap(m=m))
         u_q, u_v = direct_uncertainty(m)
         worst = max(worst, np.abs(tables.u_q - u_q).max(), np.abs(tables.u_v - u_v).max())
-    const = compute_uncertainty(CorpusSimilarityMap(m=np.full((50, 30, 8), 0.5), epoch=0))
+    const = compute_uncertainty(CorpusSimilarityMap(m=np.full((50, 30, 8), 0.5)))
     exact = np.all(const.u_q == 0.5) and np.all(const.u_v == 0.5)
     report(4, worst < 1e-12 and exact,
            f"max deviation from direct averaging = {worst:.2e} (tol 1e-12); "
@@ -145,7 +145,7 @@ def test_accept_05_threshold_schedule():
     taus = []
     for seed in (1, 2):
         params = EncoderParams.initialize(dims, seed=seed)
-        sim_map = build_corpus_map(params, corpus, epoch=seed)
+        sim_map = build_corpus_map(params, corpus)
         tables = compute_uncertainty(sim_map)
         thr = compute_thresholds(sim_map, corpus.pairing, tables)
         # oracle: mean over per-pair retrieval_score calls on raw embeddings

@@ -14,8 +14,8 @@ from prvr.similarity import CorpusSimilarityMap, build_corpus_map, map_retrieval
 from tests.oracles import frame_uncertainty
 
 
-def make_map(m, epoch=0):
-    return CorpusSimilarityMap(m=np.asarray(m, dtype=np.float64), epoch=epoch)
+def make_map(m):
+    return CorpusSimilarityMap(m=np.asarray(m, dtype=np.float64))
 
 
 # --- uncertainty -------------------------------------------------------
@@ -59,7 +59,7 @@ def test_uncertainty_matches_loop_oracle():
 
 def test_pair_and_frame_uncertainty_arithmetic():
     t = UncertaintyTables(u_q=np.array([0.4, 0.0]),
-                          u_v=np.array([[0.2, 0.6], [0.4, -0.2]]), epoch=0)
+                          u_v=np.array([[0.2, 0.6], [0.4, -0.2]]))
     # a pair's uncertainty is the frame uncertainty at its best frame
     assert frame_uncertainty(t, 0, 0, 0) == pytest.approx(0.3)
     assert frame_uncertainty(t, 1, 1, 0) == pytest.approx(0.2)
@@ -141,9 +141,9 @@ def random_batch(rng, b, l_v, n_q=None, n_v=None):
     scores = rng.uniform(-1, 1, size=(b, b))
     best = rng.integers(0, l_v, size=(b, b))
     tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=n_q),
-                               u_v=rng.uniform(-1, 1, size=(n_v, l_v)), epoch=0)
+                               u_v=rng.uniform(-1, 1, size=(n_v, l_v)))
     thr = Thresholds(tau_s=float(rng.uniform(-0.5, 0.5)),
-                     tau_u=float(rng.uniform(-0.5, 0.5)), epoch=0)
+                     tau_u=float(rng.uniform(-0.5, 0.5)))
     return batch, scores, best, tables, thr
 
 
@@ -180,7 +180,7 @@ def test_detection_partition_and_exclusions():
 def test_threshold_saturation_empties_ambiguous_sets():
     rng = np.random.default_rng(5)
     batch, scores, best, tables, _ = random_batch(rng, 5, l_v=3)
-    thr = Thresholds(tau_s=2.0, tau_u=2.0, epoch=0)  # above every possible value
+    thr = Thresholds(tau_s=2.0, tau_u=2.0)  # above every possible value
     sets = detect_video_ambiguity(batch, scores, best, tables, thr)
     assert not sets.amb.any()
     v_idx = [v for _, v in batch]
@@ -203,10 +203,10 @@ def test_specific_threshold_scan_example():
     u_v[2, 0] = 0.2                    # u = 0.35... adjust below
     scores[0, 3] = 0.3
     u_v[3, 0] = 0.5                    # u = 0.5
-    tables = UncertaintyTables(u_q=u_q, u_v=u_v, epoch=0)
+    tables = UncertaintyTables(u_q=u_q, u_v=u_v)
     # make pair 2's u exactly 0.1: u_q[0]=0.5 -> u_v must be -0.3
     u_v[2, 0] = -0.3
-    thr = Thresholds(tau_s=0.5, tau_u=0.3, epoch=0)
+    thr = Thresholds(tau_s=0.5, tau_u=0.3)
     sets = detect_video_ambiguity(batch, scores, best, tables, thr)
     assert np.nonzero(sets.amb[0])[0].tolist() == [1]
     assert np.nonzero(sets.neg[0])[0].tolist() == [2, 3]
@@ -216,8 +216,8 @@ def test_positive_pair_never_ambiguous_even_above_thresholds():
     batch = [(0, 0), (1, 1)]
     scores = np.full((2, 2), 0.99)
     best = np.zeros((2, 2), dtype=int)
-    tables = UncertaintyTables(u_q=np.full(2, 0.9), u_v=np.full((2, 1), 0.9), epoch=0)
-    thr = Thresholds(tau_s=0.0, tau_u=0.0, epoch=0)
+    tables = UncertaintyTables(u_q=np.full(2, 0.9), u_v=np.full((2, 1), 0.9))
+    thr = Thresholds(tau_s=0.0, tau_u=0.0)
     sets = detect_video_ambiguity(batch, scores, best, tables, thr)
     assert 0 not in np.nonzero(sets.amb[0])[0]
     assert 1 in np.nonzero(sets.amb[0])[0]
@@ -228,7 +228,7 @@ def test_raising_thresholds_is_monotone():
     for _ in range(20):
         batch, scores, best, tables, thr = random_batch(rng, 6, l_v=4)
         sets_lo = detect_video_ambiguity(batch, scores, best, tables, thr)
-        thr_hi = Thresholds(tau_s=thr.tau_s + 0.2, tau_u=thr.tau_u + 0.2, epoch=0)
+        thr_hi = Thresholds(tau_s=thr.tau_s + 0.2, tau_u=thr.tau_u + 0.2)
         sets_hi = detect_video_ambiguity(batch, scores, best, tables, thr_hi)
         for i in range(6):
             assert set(np.nonzero(sets_hi.amb[i])[0]) <= set(np.nonzero(sets_lo.amb[i])[0])
@@ -247,9 +247,9 @@ def test_frame_detection_matches_brute_force():
         batch = [(i, int(rng.integers(0, 4))) for i in range(b)]
         frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
         tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=b),
-                                   u_v=rng.uniform(-1, 1, size=(4, l_v)), epoch=0)
+                                   u_v=rng.uniform(-1, 1, size=(4, l_v)))
         thr = Thresholds(tau_s=float(rng.uniform(-0.5, 0.5)),
-                         tau_u=float(rng.uniform(-0.5, 0.5)), epoch=0)
+                         tau_u=float(rng.uniform(-0.5, 0.5)))
         fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
         want = brute_force_frame_sets(batch, frame_sims, tables, thr)
         for p in range(b):
@@ -267,8 +267,8 @@ def test_frame_detection_matches_brute_force():
 def test_single_frame_video_has_empty_frame_sets():
     batch = [(0, 0), (1, 1)]
     frame_sims = np.random.default_rng(8).uniform(-1, 1, size=(2, 2, 1))
-    tables = UncertaintyTables(u_q=np.zeros(2), u_v=np.zeros((2, 1)), epoch=0)
-    thr = Thresholds(tau_s=-2.0, tau_u=-2.0, epoch=0)
+    tables = UncertaintyTables(u_q=np.zeros(2), u_v=np.zeros((2, 1)))
+    thr = Thresholds(tau_s=-2.0, tau_u=-2.0)
     fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
     assert fsets.amb_frame_mask.shape == fsets.neg_frame_mask.shape == (2, 1)
     assert not fsets.amb_frame_mask.any() and not fsets.neg_frame_mask.any()
@@ -277,8 +277,8 @@ def test_single_frame_video_has_empty_frame_sets():
 def test_all_frames_equal_best_become_ambiguous_under_low_thresholds():
     batch = [(0, 0)]
     frame_sims = np.full((1, 1, 4), 0.8)
-    tables = UncertaintyTables(u_q=np.array([0.5]), u_v=np.full((1, 4), 0.5), epoch=0)
-    thr = Thresholds(tau_s=0.1, tau_u=0.1, epoch=0)
+    tables = UncertaintyTables(u_q=np.array([0.5]), u_v=np.full((1, 4), 0.5))
+    thr = Thresholds(tau_s=0.1, tau_u=0.1)
     fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
     assert fsets.best_frame[0] == 0
     assert np.nonzero(fsets.amb_frame_mask[0])[0].tolist() == [1, 2, 3]
@@ -287,8 +287,8 @@ def test_all_frames_equal_best_become_ambiguous_under_low_thresholds():
 def test_high_thresholds_make_all_nonbest_frames_negative():
     batch = [(0, 0)]
     frame_sims = np.random.default_rng(9).uniform(-1, 1, size=(1, 1, 5))
-    tables = UncertaintyTables(u_q=np.zeros(1), u_v=np.zeros((1, 5)), epoch=0)
-    thr = Thresholds(tau_s=2.0, tau_u=2.0, epoch=0)
+    tables = UncertaintyTables(u_q=np.zeros(1), u_v=np.zeros((1, 5)))
+    thr = Thresholds(tau_s=2.0, tau_u=2.0)
     fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
     k_hat = int(fsets.best_frame[0])
     assert np.nonzero(fsets.amb_frame_mask[0])[0].tolist() == []

@@ -412,3 +412,56 @@ def test_nonfinite_loss_exits_4(tmp_path, spec_file, train_file, capsys, monkeyp
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("prvr: numerical-error:")
     assert "epoch 1 batch 0" in err[0]
+
+
+@pytest.mark.parametrize("part", ("param", "adam_m", "adam_v"))
+def test_nonfinite_checkpoint_exits_3(tmp_path, spec_file, train_file, capsys, part):
+    # a NaN weight makes every score NaN, and NaN ranks no video ahead
+    # of the paired one: the checkpoint must be refused, not scored
+    from prvr.errors import FormatError
+    from prvr.trainer import checkpoint, resume
+
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    state = resume(ckpt)
+    phi = state.phi
+    tensors = {"param": phi.params.tensors, "adam_m": phi.adam.m, "adam_v": phi.adam.v}[part]
+    tensors["text_proj_w"].flat[0] = np.nan
+    checkpoint(state, ckpt)
+    with pytest.raises(FormatError, match=rf"^text_proj_w\.{part}: non-finite value$"):
+        resume(ckpt)
+    _evaluate_fails(tmp_path, ckpt, corpus_path, capsys,
+                    f"prvr: config-error: text_proj_w.{part}: non-finite value")
+
+
+@pytest.mark.parametrize("command, kv", (
+    ("train", "learning_rate=nan"), ("train", "learning_rate=inf"),
+    ("train", "lambda_nce=nan"), ("train", "lambda_nce=inf"), ("train", "margin_m=inf"),
+    ("gen-corpus", "noise_scale=nan"), ("gen-corpus", "noise_scale=inf")))
+def test_nonfinite_config_float_exits_3(tmp_path, spec_file, train_file, capsys, command, kv):
+    corpus_path = str(tmp_path / "c.prvc")
+    if command == "train":
+        assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+        argv = ["train", "--corpus", corpus_path, "--config", train_file,
+                "--out", str(tmp_path / "run")]
+    else:
+        argv = ["gen-corpus", "--spec", spec_file, "--out", corpus_path]
+    capsys.readouterr()
+    assert main(argv + ["--set", kv]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    key = kv.partition("=")[0]
+    assert len(err) == 1 and err[0].startswith(f"prvr: config-error: {key} must be finite")
+
+
+def test_memory_error_exits_3(tmp_path, spec_file, capsys, monkeypatch):
+    # numpy raises MemoryError for a request it cannot map, such as the
+    # 7.28 TiB of features that n_q = 10^12 declares; never allocate here
+    import prvr.cli as cli
+
+    def refuse(spec, split):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array")
+    monkeypatch.setattr(cli, "generate_synthetic", refuse)
+    out = tmp_path / "x.prvc"
+    assert main(["gen-corpus", "--spec", spec_file, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["prvr: memory-error: Unable to allocate 7.28 TiB for an array"]
+    assert not out.exists()

@@ -18,7 +18,7 @@ def sets_from_masks(batch, amb):
     """Build AmbiguitySets from an explicit ambiguous boolean matrix."""
     v_idx = np.asarray([v for _, v in batch])
     pos = v_idx[:, None] == v_idx[None, :]
-    return AmbiguitySets(batch=list(batch), pos=pos, amb=np.asarray(amb, dtype=bool) & ~pos)
+    return AmbiguitySets(pos=pos, amb=np.asarray(amb, dtype=bool) & ~pos)
 
 
 def frame_sets_from_lists(best, amb_frames, neg_frames, amb_queries, neg_queries, l_v):
@@ -234,8 +234,8 @@ def test_nonnegativity_of_all_components():
 def make_frame_sets(batch, frame_sims, tau_s=-2.0, tau_u=-2.0, n_v=None):
     b, _, l_v = frame_sims.shape
     n_v = n_v or b
-    tables = UncertaintyTables(u_q=np.zeros(b + 10), u_v=np.zeros((n_v + 10, l_v)), epoch=0)
-    thr = Thresholds(tau_s=tau_s, tau_u=tau_u, epoch=0)
+    tables = UncertaintyTables(u_q=np.zeros(b + 10), u_v=np.zeros((n_v + 10, l_v)))
+    thr = Thresholds(tau_s=tau_s, tau_u=tau_u)
     return detect_frame_ambiguity(batch, frame_sims, tables, thr)
 
 
@@ -273,8 +273,8 @@ def test_frame_loss_from_brute_force_sets_equals_pipeline_sets():
     frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
     batch = distinct_batch(b)
     tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=b),
-                               u_v=rng.uniform(-1, 1, size=(b, l_v)), epoch=0)
-    thr = Thresholds(tau_s=0.0, tau_u=0.0, epoch=0)
+                               u_v=rng.uniform(-1, 1, size=(b, l_v)))
+    thr = Thresholds(tau_s=0.0, tau_u=0.0)
     fsets = detect_frame_ambiguity(batch, frame_sims, tables, thr)
 
     # rebuild the same structure with a literal loop
@@ -388,10 +388,10 @@ def _random_frame_case(rng, regime, l_v=None):
     batch = [(x, int(rng.integers(n_v))) for x in range(b)]
     frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
     tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=b),
-                               u_v=rng.uniform(-1, 1, size=(n_v, l_v)), epoch=0)
+                               u_v=rng.uniform(-1, 1, size=(n_v, l_v)))
     tau = {"median": (float(np.median(frame_sims)), 0.0),
            "all_ambiguous": (-2.0, -2.0), "all_negative": (2.0, 2.0)}[regime]
-    thr = Thresholds(tau_s=tau[0], tau_u=tau[1], epoch=0)
+    thr = Thresholds(tau_s=tau[0], tau_u=tau[1])
     return batch, frame_sims, detect_frame_ambiguity(batch, frame_sims, tables, thr), tables, thr
 
 

@@ -1,8 +1,9 @@
 """Streamed corpus scoring against the dense-map oracle.
 
-similarity.score_corpus walks the queries in chunks of _CHUNK_BYTES and
-the cosine kernel walks (query, video) tiles of _TILE_BYTES; the sizes
-are patched here to reach every chunk and tile edge. Scores, best frames,
+similarity.score_corpus walks the queries in chunks and the cosine kernel
+walks (query, video) tiles, both sized by the one byte budget
+_TILE_BYTES; the budget is patched here to reach every chunk and tile
+edge. Scores, best frames,
 tau_s and detected pairs match the oracle at tolerance 0; the closed-form
 uncertainty tables, and what is computed from them, within U_TOL.
 """
@@ -51,23 +52,24 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= U_TOL
 
 
-# (chunk bytes, tile bytes) from one map row's bytes, one (query, video)
-# pair's product bytes and N_v; the corpora have N_q = 37.
+# The byte budget from one (query, video) pair's product bytes and N_v.
+# A map row takes N_v * L_v * 8 bytes, less than 3 pairs at d = 8, and
+# the corpora have N_q = 37, so over the shapes below: budget 1 gives
+# one-row chunks and width-1 tiles; 3 pairs a ragged last chunk; 4 pairs
+# ragged video tiles (N_v = 6); 2 * N_v pairs multi-row query tiles in
+# multi-row chunks; 2^30 one chunk of one tile.
 SIZES = {
-    "one-row chunks": lambda row, pair, n_v: (1, 1 << 20),
-    "ragged last chunk": lambda row, pair, n_v: (3 * row, 1 << 20),
-    "single chunk": lambda row, pair, n_v: (1 << 30, 1 << 30),
-    "tile width 1": lambda row, pair, n_v: (4 * row, 1),
-    "ragged video tiles": lambda row, pair, n_v: (3 * row, 4 * pair),
-    "query tiles": lambda row, pair, n_v: (3 * row, 2 * n_v * pair),
+    "one-row chunks": lambda pair, n_v: 1,
+    "ragged last chunk": lambda pair, n_v: 3 * pair,
+    "ragged video tiles": lambda pair, n_v: 4 * pair,
+    "query tiles": lambda pair, n_v: 2 * n_v * pair,
+    "single chunk": lambda pair, n_v: 1 << 30,
 }
 
 
 def patch_sizes(monkeypatch, sizes, state, corpus):
     pair = corpus.l_v * state.theta.params.dims.d * 8
-    chunk, tile = SIZES[sizes](corpus.n_v * corpus.l_v * 8, pair, corpus.n_v)
-    monkeypatch.setattr(similarity, "_CHUNK_BYTES", chunk)
-    monkeypatch.setattr(similarity, "_TILE_BYTES", tile)
+    monkeypatch.setattr(similarity, "_TILE_BYTES", SIZES[sizes](pair, corpus.n_v))
 
 
 SHAPES = {"base": (6, 4), "l_v=1": (6, 1), "n_v=1": (1, 4), "n_v=l_v=1": (1, 1)}
@@ -83,21 +85,21 @@ def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
 
     params = state.theta.params
     scores, best, u_q, u_v = map_corpus_scores(params, corpus)
-    got = score_corpus(params, corpus)
-    assert_bitwise(got.scores, scores)
-    assert_bitwise(got.best, best)
-    assert_close(got.u_q, u_q)
-    assert_close(got.u_v, u_v)
+    got_scores, got_best, got_tables = score_corpus(params, corpus)
+    assert_bitwise(got_scores, scores)
+    assert_bitwise(got_best, best)
+    assert_close(got_tables.u_q, u_q)
+    assert_close(got_tables.u_v, u_v)
 
     tau_s, tau_u = map_thresholds(scores, best, u_q, u_v, corpus.pairing)
-    tables, thr = corpus_thresholds(params, corpus, epoch=7)
+    tables, thr = corpus_thresholds(params, corpus)
     assert thr.tau_s == tau_s and abs(thr.tau_u - tau_u) <= U_TOL
     assert_close(tables.u_q, u_q)
     assert_close(tables.u_v, u_v)
 
     # the map-form wrappers run the same kernel and reducer, and average
     # the map directly
-    sim_map = build_corpus_map(params, corpus, epoch=7)
+    sim_map = build_corpus_map(params, corpus)
     map_scores, map_best = map_retrieval_scores(sim_map)
     assert_bitwise(map_scores, scores)
     assert_bitwise(map_best, best)
@@ -105,7 +107,7 @@ def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
     assert_bitwise(map_tables.u_q, u_q)
     assert_bitwise(map_tables.u_v, u_v)
     map_thr = compute_thresholds(sim_map, corpus.pairing, map_tables)
-    assert (map_thr.tau_s, map_thr.tau_u, map_thr.epoch) == (tau_s, tau_u, 7)
+    assert (map_thr.tau_s, map_thr.tau_u) == (tau_s, tau_u)
 
 
 @pytest.mark.parametrize("sizes", ("one-row chunks", "ragged video tiles"))

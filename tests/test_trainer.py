@@ -197,8 +197,8 @@ def test_step_with_different_sets_changes_loss():
 
     all_neg = forced_negative_sets(pairs)
     tables = UncertaintyTables(u_q=np.full(corpus.n_q, 0.5),
-                               u_v=np.full((corpus.n_v, corpus.l_v), 0.5), epoch=1)
-    low = Thresholds(tau_s=-0.99, tau_u=0.0, epoch=1)
+                               u_v=np.full((corpus.n_v, corpus.l_v), 0.5))
+    low = Thresholds(tau_s=-0.99, tau_u=0.0)
     from prvr.trainer import _forward_batch
     from prvr import autodiff as ad
     frame_sims, scores, best = _forward_batch(
