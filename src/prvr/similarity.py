@@ -3,19 +3,22 @@
 The retrieval score of a (query, video) pair is the maximum frame cosine;
 the dataset-wide map M holds every query x frame cosine.
 
-All cosine paths go through one elementwise-multiply + sum kernel
-(never BLAS matmul): numpy's pairwise reduction over the contiguous last
-axis is bitwise shape-independent, so the batched map equals per-entry
-scalar calls exactly. GEMM does not have that property.
+Every cosine goes through one kernel, `_unit_dots`: an elementwise
+multiply + sum over (query, video) tiles (never BLAS matmul). numpy's
+pairwise reduction over the contiguous last axis is bitwise
+shape-independent, so every tiling, batch and chunk gives the same bits
+as a per-entry loop. GEMM does not have that property. The training and
+grad-check forward (`cosine_pairs`), `score_corpus` and
+`build_corpus_map` all run it.
 
 Corpus scoring never holds the whole map. `score_corpus` encodes each
 side once and walks the queries in chunks of about _TILE_BYTES, the one
 byte budget that also sizes the kernel's product buffer: the kernel
 fills one (chunk, N_v, L_v) block, and `autodiff.reduce_max` folds it
 into per-pair scores and best frames. Memory is O(N_q * N_v) plus one
-chunk. `build_corpus_map` keeps the map form for tests and tools; it
-runs the same kernel, and `map_retrieval_scores` the same reducer, so
-scores and best frames are bitwise equal in both forms.
+chunk. `build_corpus_map` keeps the map form for tests and tools, and
+`map_retrieval_scores` runs the same reducer, so scores and best frames
+are bitwise equal in both forms.
 
 The UncertaintyTables are the map's means over each query's row and
 over the queries. The map is linear in each unit embedding, so they are
@@ -65,26 +68,30 @@ def _unit(x):
     return ad.div(x, n)
 
 
-def frame_similarity(q, v) -> float:
-    """Cosine between one query embedding and one frame embedding."""
-    q = np.asarray(ad.val(q), dtype=np.float64)
-    v = np.asarray(ad.val(v), dtype=np.float64)
-    qn = np.sqrt((q * q).sum())
-    vn = np.sqrt((v * v).sum())
-    if qn == 0.0 or vn == 0.0:
-        raise NumericalError("cosine similarity of a zero vector is undefined")
-    return float(((q / qn) * (v / vn)).sum())
-
-
 def _unit_dots(qu, fu):
     """Dots (n, m, L) between unit queries (n, d) and unit frames (m, L, d).
 
-    The forward is the elementwise multiply-and-sum kernel; the backward
+    The forward runs over (query, video) tiles through one reused buffer
+    of about _TILE_BYTES. Each dot is the same pairwise sum over d as in
+    the whole product, so every tiling gives the same bits. The backward
     contracts the output gradient against the other operand with einsum
     instead of materializing the (n, m, L, d) product.
     """
     qv, fv = ad.val(qu), ad.val(fu)
-    out = (qv[:, None, None, :] * fv[None]).sum(axis=-1)
+    n_q = len(qv)
+    n_v, l_v, d = fv.shape
+    pair = l_v * d * 8              # product bytes of one (query, video) pair
+    tv = max(1, min(n_v, _TILE_BYTES // pair))
+    tq = max(1, min(n_q, _TILE_BYTES // (tv * pair)))
+    buf = np.empty(tq * tv * l_v * d)
+    out = np.empty((n_q, n_v, l_v))
+    for x0 in range(0, n_q, tq):
+        q = qv[x0:x0 + tq, None, None, :]
+        for y0 in range(0, n_v, tv):
+            f = fv[y0:y0 + tv]
+            prod = buf[:len(q) * f.size].reshape(len(q), *f.shape)
+            np.multiply(q, f, out=prod)
+            prod.sum(axis=-1, out=out[x0:x0 + tq, y0:y0 + tv])
     parents = []
     if isinstance(qu, ad.Var):
         parents.append((qu, lambda g: np.einsum("xyk,ykd->xd", g, fv, optimize=False)))
@@ -102,34 +109,6 @@ def cosine_pairs(q_emb, frame_emb):
     return _unit_dots(_unit(q_emb), _unit(frame_emb))
 
 
-def _unit_embeddings(params, corpus):
-    """Unit query (N_q, d) and frame (N_v, L_v, d) embeddings, one encode per side."""
-    return (_unit(encode_text(params, corpus.text_features)),
-            _unit(encode_video(params, corpus.video_features)))
-
-
-def _fill_map(qu, fu, out):
-    """out[x, y, z] = qu[x] . fu[y, z] for a block of queries.
-
-    The product runs over (query, video) tiles through one reused buffer
-    of about _TILE_BYTES. Each dot is the same pairwise sum over d as in
-    the whole product, so every tiling gives the same bits.
-    """
-    n_q = len(qu)
-    n_v, l_v, d = fu.shape
-    pair = l_v * d * 8              # product bytes of one (query, video) pair
-    tv = max(1, min(n_v, _TILE_BYTES // pair))
-    tq = max(1, min(n_q, _TILE_BYTES // (tv * pair)))
-    buf = np.empty(tq * tv * l_v * d)
-    for x0 in range(0, n_q, tq):
-        q = qu[x0:x0 + tq, None, None, :]
-        for y0 in range(0, n_v, tv):
-            f = fu[y0:y0 + tv]
-            prod = buf[:len(q) * f.size].reshape(len(q), *f.shape)
-            np.multiply(q, f, out=prod)
-            prod.sum(axis=-1, out=out[x0:x0 + tq, y0:y0 + tv])
-
-
 def score_corpus(params, corpus):
     """(scores, best, UncertaintyTables), streamed over query chunks.
 
@@ -137,17 +116,15 @@ def score_corpus(params, corpus):
     best[x, y] its frame (ties -> lowest index), both (N_q, N_v); they
     are bitwise equal to reducing build_corpus_map.
     """
-    qu, fu = _unit_embeddings(params, corpus)
+    qu = _unit(encode_text(params, corpus.text_features))
+    fu = _unit(encode_video(params, corpus.video_features))
     (n_q, d), (n_v, l_v, _) = qu.shape, fu.shape
     scores = np.empty((n_q, n_v))
     best = np.empty((n_q, n_v), dtype=np.intp)
     rows = max(1, min(n_q, _TILE_BYTES // (n_v * l_v * 8)))
-    block = np.empty((rows, n_v, l_v))
     for x0 in range(0, n_q, rows):
         span = slice(x0, x0 + rows)
-        chunk = block[:min(rows, n_q - x0)]
-        _fill_map(qu[span], fu, chunk)
-        scores[span], best[span] = ad.reduce_max(chunk, axis=2)
+        scores[span], best[span] = ad.reduce_max(_unit_dots(qu[span], fu), axis=2)
     u_q = (qu * fu.reshape(-1, d).mean(axis=0)).sum(axis=-1)
     u_v = (fu * qu.mean(axis=0)).sum(axis=-1)
     return scores, best, UncertaintyTables(u_q=u_q, u_v=u_v)
@@ -156,13 +133,11 @@ def score_corpus(params, corpus):
 def build_corpus_map(params, corpus) -> CorpusSimilarityMap:
     """The whole N_q x N_v x L_v cosine map, for tests and tools.
 
-    Same encodes and kernel as score_corpus; each entry equals
-    frame_similarity of the pair (tolerance 0).
+    cosine_pairs of the same two encodes as score_corpus, so it runs the
+    same kernel and gives the same bits.
     """
-    qu, fu = _unit_embeddings(params, corpus)
-    m = np.empty((len(qu),) + fu.shape[:2])
-    _fill_map(qu, fu, m)
-    return CorpusSimilarityMap(m=m)
+    return CorpusSimilarityMap(m=cosine_pairs(encode_text(params, corpus.text_features),
+                                              encode_video(params, corpus.video_features)))
 
 
 def map_retrieval_scores(sim_map: CorpusSimilarityMap):

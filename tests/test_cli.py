@@ -465,3 +465,20 @@ def test_memory_error_exits_3(tmp_path, spec_file, capsys, monkeypatch):
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["prvr: memory-error: Unable to allocate 7.28 TiB for an array"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("gen-corpus", "train"))
+def test_non_utf8_config_exits_3(tmp_path, spec_file, capsys, command):
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    bad = tmp_path / "utf16.cfg"
+    bad.write_bytes(b"\xff\xfe" + "seed = 5\n".encode("utf-16-le"))
+    if command == "train":
+        argv = ["train", "--corpus", corpus_path, "--config", str(bad),
+                "--out", str(tmp_path / "run")]
+    else:
+        argv = ["gen-corpus", "--spec", str(bad), "--out", str(tmp_path / "x.prvc")]
+    capsys.readouterr()
+    assert main(argv) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"prvr: config-error: cannot read config file {bad}")

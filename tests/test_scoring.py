@@ -1,11 +1,12 @@
-"""Streamed corpus scoring against the dense-map oracle.
+"""Streamed corpus scoring and the cosine kernel against the oracles.
 
-similarity.score_corpus walks the queries in chunks and the cosine kernel
-walks (query, video) tiles, both sized by the one byte budget
-_TILE_BYTES; the budget is patched here to reach every chunk and tile
-edge. Scores, best frames,
-tau_s and detected pairs match the oracle at tolerance 0; the closed-form
-uncertainty tables, and what is computed from them, within U_TOL.
+similarity.score_corpus walks the queries in chunks and the one cosine
+kernel, which the training forward shares, walks (query, video) tiles,
+both sized by the one byte budget _TILE_BYTES; the budget is patched
+here to reach every chunk and tile edge. Cosines, scores, best frames
+(exact ties included), tau_s and detected pairs match the oracle at
+tolerance 0; the closed-form uncertainty tables, and what is computed
+from them, within U_TOL.
 """
 
 import tracemalloc
@@ -13,15 +14,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from prvr import similarity
+from prvr import autodiff as ad
+from prvr import encoder, similarity
 from prvr.ambiguity import compute_thresholds, compute_uncertainty, corpus_thresholds
 from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.errors import NumericalError
 from prvr.evaluation import audit, fused_pair_scores
-from prvr.similarity import build_corpus_map, map_retrieval_scores, score_corpus
+from prvr.similarity import (build_corpus_map, cosine_pairs, map_retrieval_scores,
+                             score_corpus)
 from prvr.trainer import TrainConfig, init_state
 
-from tests.oracles import map_branch_scores, map_corpus_scores, map_thresholds
+from tests.oracles import cosine_rows, map_branch_scores, map_corpus_scores, map_thresholds
 
 
 def make_corpus(n_q=37, n_v=6, l_v=4, ambiguity_rate=0.3, seed=2):
@@ -72,7 +75,24 @@ def patch_sizes(monkeypatch, sizes, state, corpus):
     monkeypatch.setattr(similarity, "_TILE_BYTES", SIZES[sizes](pair, corpus.n_v))
 
 
-SHAPES = {"base": (6, 4), "l_v=1": (6, 1), "n_v=1": (1, 4), "n_v=l_v=1": (1, 1)}
+def tie_frames(monkeypatch):
+    """Make frame 2k + 1 of every video encode exactly as frame 2k.
+
+    Patched where score_corpus and the oracle look the encoder up; equal
+    input frames would not do, as the positional term tells them apart.
+    """
+    encode = encoder.encode_video
+
+    def tied(params, features, *args):
+        emb = encode(params, features, *args).copy()
+        emb[:, 1::2] = emb[:, 0::2]
+        return emb
+    for module in (encoder, similarity):
+        monkeypatch.setattr(module, "encode_video", tied)
+
+
+SHAPES = {"base": (6, 4), "l_v=1": (6, 1), "n_v=1": (1, 4), "n_v=l_v=1": (1, 1),
+          "tied frames": (6, 4)}
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -82,12 +102,17 @@ def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
     corpus = make_corpus(n_v=n_v, l_v=l_v, ambiguity_rate=0.3 if n_v > 1 else 0.0)
     state = make_state(corpus)
     patch_sizes(monkeypatch, sizes, state, corpus)
+    if shape == "tied frames":
+        tie_frames(monkeypatch)
 
     params = state.theta.params
     scores, best, u_q, u_v = map_corpus_scores(params, corpus)
     got_scores, got_best, got_tables = score_corpus(params, corpus)
     assert_bitwise(got_scores, scores)
     assert_bitwise(got_best, best)
+    if shape == "tied frames":
+        # every maximum is tied between frames 2k and 2k + 1
+        assert not (got_best % 2).any()
     assert_close(got_tables.u_q, u_q)
     assert_close(got_tables.u_v, u_v)
 
@@ -168,3 +193,33 @@ def test_scoring_memory_stays_below_the_map():
         finally:
             tracemalloc.stop()
         assert peak < map_bytes / 3, (peak, map_bytes)
+
+
+@pytest.mark.parametrize("sizes", SIZES)
+def test_cosine_pairs_matches_rows_oracle(monkeypatch, sizes):
+    # the training forward runs the same tiles as corpus scoring
+    rng = np.random.default_rng(6)
+    q, f = rng.normal(size=(37, 8)), rng.normal(size=(6, 4, 8))
+    n_v, l_v, d = f.shape
+    monkeypatch.setattr(similarity, "_TILE_BYTES", SIZES[sizes](l_v * d * 8, n_v))
+    want = np.stack([cosine_rows(row, f) for row in q])
+    assert_bitwise(cosine_pairs(q, f), want)
+    assert_bitwise(ad.val(cosine_pairs(ad.Var(q), ad.Var(f))), want)
+
+
+@pytest.mark.parametrize("traced", (False, True))
+def test_cosine_pairs_memory_stays_below_the_product(traced):
+    # a training batch: the (b, b, L_v, d) product would take 6.3 MB
+    b, l_v, d = 32, 16, 48
+    rng = np.random.default_rng(7)
+    q, f = rng.normal(size=(b, d)), rng.normal(size=(b, l_v, d))
+    if traced:
+        q, f = ad.Var(q), ad.Var(f)
+    product_bytes = b * b * l_v * d * 8
+    tracemalloc.start()
+    try:
+        cosine_pairs(q, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < product_bytes / 3, (peak, product_bytes)

@@ -7,38 +7,43 @@ from prvr import autodiff as ad
 from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.encoder import EncoderDims, EncoderParams, encode_text, encode_video
 from prvr.errors import NumericalError
-from prvr.similarity import build_corpus_map, cosine_pairs, frame_similarity
+from prvr.similarity import build_corpus_map, cosine_pairs
 
-from tests.oracles import retrieval_score
+from tests.oracles import cosine_rows, retrieval_score
+
+
+def cosine(q, v):
+    """cosine_pairs of one query (d,) and one frame (d,), as 1 x 1 x d shapes."""
+    return float(cosine_pairs(np.asarray(q)[None], np.asarray(v)[None, None])[0, 0, 0])
 
 
 def test_identical_unit_vectors():
     v = np.array([0.6, 0.8])
-    assert frame_similarity(v, v) == pytest.approx(1.0)
+    assert cosine(v, v) == pytest.approx(1.0)
 
 
 def test_orthogonal_vectors():
-    assert frame_similarity(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
+    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 2.0])) == pytest.approx(0.0)
 
 
 def test_analytic_45_degree_value():
     q = np.array([1.0, 0.0])
     v = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert frame_similarity(q, v) == pytest.approx(0.70710678, abs=1e-8)
+    assert cosine(q, v) == pytest.approx(0.70710678, abs=1e-8)
 
 
 def test_symmetry_and_bounds():
     rng = np.random.default_rng(0)
     for _ in range(50):
         a, b = rng.normal(size=5), rng.normal(size=5)
-        s = frame_similarity(a, b)
-        assert s == frame_similarity(b, a)
+        s = cosine(a, b)
+        assert s == cosine(b, a)
         assert -1.0 <= s <= 1.0
 
 
 def test_zero_vector_rejected():
     with pytest.raises(NumericalError):
-        frame_similarity(np.zeros(3), np.ones(3))
+        cosine(np.zeros(3), np.ones(3))
     with pytest.raises(NumericalError):
         retrieval_score(np.ones(3), np.zeros((2, 3)))
 
@@ -47,7 +52,7 @@ def test_retrieval_score_max_and_argmax():
     q = np.array([1.0, 0.0])
     frames = np.array([[0.2, 1.0], [0.9, 0.1], [0.5, 0.5]])
     score, k = retrieval_score(q, frames)
-    sims = [frame_similarity(q, f) for f in frames]
+    sims = [float(cosine_rows(q, f)) for f in frames]
     assert score == max(sims)
     assert k == int(np.argmax(sims)) == 1
 
@@ -65,7 +70,7 @@ def test_retrieval_score_single_frame():
     frames = np.array([[1.0, 0.5, -0.2]])
     score, k = retrieval_score(q, frames)
     assert k == 0
-    assert score == frame_similarity(q, frames[0])
+    assert score == cosine_rows(q, frames[0])
 
 
 def test_exhaustive_max_oracle():
@@ -75,7 +80,7 @@ def test_exhaustive_max_oracle():
         q = rng.normal(size=4)
         frames = rng.normal(size=(l_v, 4))
         score, k = retrieval_score(q, frames)
-        sims = [frame_similarity(q, frames[z]) for z in range(l_v)]
+        sims = [float(cosine_rows(q, frames[z])) for z in range(l_v)]
         assert score == max(sims)
         assert k == sims.index(max(sims))
 
@@ -114,7 +119,7 @@ def test_corpus_map_matches_per_entry_oracle_exactly():
         for y in range(corpus.n_v):
             v = encode_video(params, corpus.video_features[y])
             for z in range(corpus.l_v):
-                assert sim_map.m[x, y, z] == frame_similarity(q, v[z]), (x, y, z)
+                assert sim_map.m[x, y, z] == cosine_rows(q, v[z]), (x, y, z)
 
 
 def test_corpus_map_deterministic_and_bounded():
@@ -137,7 +142,7 @@ def test_cosine_pairs_traced_matches_untraced_and_scalar():
     for x in range(3):
         for y in range(2):
             for z in range(4):
-                assert raw[x, y, z] == frame_similarity(q[x], f[y, z])
+                assert raw[x, y, z] == cosine_rows(q[x], f[y, z])
 
 
 def test_cosine_pairs_gradient():
