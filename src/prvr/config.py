@@ -1,7 +1,10 @@
 """Flat key=value config files with command-line overrides.
 
-Lines are `key = value`; blank lines and #-comments are ignored. Unknown
-keys are rejected so typos fail loudly before any work starts.
+Lines are `key = value`; blank lines and #-comments are ignored. Unknown,
+empty and repeated keys are rejected so typos fail loudly before any work
+starts. A --set override replaces a file's value; the overrides follow the
+same rule among themselves, so `--set =5` and a key given twice by --set
+are rejected too.
 
 The key/type schema of each file is read off its config dataclass. A
 training config renders to one text, resolved_lines; that text is both
@@ -53,18 +56,25 @@ TRAIN_KEYS = _schema(TrainConfig)
 LOSS_KEYS = _schema(LossConfig)
 
 
+def _entries(items) -> dict:
+    """{key: raw value} of (where, "key=value") items; `where` names an item
+    in errors. A key may appear once and may not be empty."""
+    entries = {}
+    for where, text in items:
+        if "=" not in text:
+            raise ConfigError(f"{where}: expected key=value, got {text!r}")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if not key or key in entries:
+            raise ConfigError(f"{where}: " + (f"repeated key {key!r}" if key else "empty key"))
+        entries[key] = raw.strip()
+    return entries
+
+
 def parse_kv_lines(lines, source) -> dict:
     """{key: raw value} of key=value lines; `source` names them in errors."""
-    entries = {}
-    for lineno, line in enumerate(lines, 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {stripped!r}")
-        key, _, raw = stripped.partition("=")
-        entries[key.strip()] = raw.strip()
-    return entries
+    return _entries((f"{source}:{lineno}", stripped) for lineno, line in enumerate(lines, 1)
+                    if (stripped := line.strip()) and not stripped.startswith("#"))
 
 
 def parse_kv_file(path) -> dict:
@@ -77,13 +87,9 @@ def parse_kv_file(path) -> dict:
 
 
 def apply_overrides(entries: dict, overrides) -> dict:
-    merged = dict(entries)
-    for item in overrides or ():
-        if "=" not in item:
-            raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        merged[key.strip()] = raw.strip()
-    return merged
+    """`entries` with each --set key=value put over it; the overrides obey
+    the line rule among themselves (no empty or repeated key)."""
+    return dict(entries, **_entries(("--set", item) for item in overrides or ()))
 
 
 def _convert(key, raw, typ):

@@ -33,9 +33,9 @@ class AuditReport:
     tau_s: float
     tau_u: float
     mean_positive_similarity: float
-    mean_unpaired_similarity: float
+    mean_unpaired_similarity: float | None  # None without unpaired pairs
     mean_positive_uncertainty: float
-    mean_unpaired_uncertainty: float
+    mean_unpaired_uncertainty: float | None
     sim_bin_edges: np.ndarray
     sim_hist_positive: np.ndarray
     sim_hist_unpaired: np.ndarray
@@ -114,13 +114,19 @@ def _hist(values, mask_pos, mask_unp):
     return edges, h_pos / max(h_pos.sum(), 1), h_unp / max(h_unp.sum(), 1)
 
 
+def _mean(values):
+    """Mean of a selection, None when it is empty."""
+    return float(values.mean()) if values.size else None
+
+
 def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     """Distribution and detection-quality audit over a train corpus.
 
     Applies training's rule (threshold_schedule, is_ambiguous) corpus-wide
     to fused branch scores and pair uncertainties. With no
     planted ground truth (or nothing detected) precision/recall fall back
-    to 0 and lad_defined is False.
+    to 0 and lad_defined is False. A corpus with no unpaired pair (one
+    video) has no unpaired means: they are None.
     """
     if corpus.split != "train":
         raise ConfigError("audit requires the train split")
@@ -143,9 +149,9 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     return AuditReport(
         tau_s=thr.tau_s, tau_u=thr.tau_u,
         mean_positive_similarity=thr.tau_s,
-        mean_unpaired_similarity=float(fused_s[unp].mean()),
+        mean_unpaired_similarity=_mean(fused_s[unp]),
         mean_positive_uncertainty=float(fused_u[pos].mean()),
-        mean_unpaired_uncertainty=float(fused_u[unp].mean()),
+        mean_unpaired_uncertainty=_mean(fused_u[unp]),
         sim_bin_edges=sim_edges, sim_hist_positive=sim_pos, sim_hist_unpaired=sim_unp,
         unc_bin_edges=unc_edges, unc_hist_positive=unc_pos, unc_hist_unpaired=unc_unp,
         detected_pairs=np.argwhere(detected_mask), precision=precision, recall=recall, f1=f1,

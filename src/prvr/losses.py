@@ -1,18 +1,18 @@
 """Training objectives: multi-positive contrastive and dual-margin triplets.
 
-Video level: for each positive pair, the contrastive numerator keeps the
-pair plus its ambiguous set (ambiguous members are not pushed down as
-negatives, but not all are forced positive either); the denominator adds
-the negative set. Two triplet losses use the hardest member of the
-ambiguous set (small margin) and of the negative set (full margin).
-
-Frame level applies the same functional form inside the paired video
-(frames vs the best frame) and across batch queries against the selected
-frame. The warmup objective is the video objective with ambiguous sets
-forced empty.
-
-Exponentials use raw cosine scores. Empty contrast sets contribute exact
-zeros.
+ARL runs one objective, `_objective`, at two levels. A level is a flat
+score vector, the flat positions of its b anchors (the positive scores)
+and a list of gathers: index arrays into the flat scores, each with the
+directions that reduce it, an (ambiguous mask, negative mask, axis)
+triple each. Per direction the contrastive numerator keeps the anchor
+plus the ambiguous members (not pushed down as negatives, but not all
+forced positive either) and the denominator adds the negatives; the two
+triplet hinges take the hardest ambiguous (margin_ma) and the hardest
+negative (margin_m) member over all directions. The video level is one
+identity gather of the (b, b) scores, reduced per query and per video;
+the frame level gathers each pair's own frames and the batch queries at
+its best frame. Warmup is the video objective with ambiguous sets forced
+empty. Exponentials use raw cosine scores; empty sets add exact zeros.
 """
 
 import math
@@ -25,8 +25,7 @@ from .ambiguity import AmbiguitySets, FrameSets
 from .errors import ConfigError
 
 __all__ = [
-    "LossConfig", "LossBreakdown",
-    "loss_nce_t2v", "loss_nce_v2t", "loss_nce",
+    "LossConfig", "LossBreakdown", "loss_nce_slots",
     "loss_triplet", "loss_video", "loss_frame", "loss_warmup",
     "forced_negative_sets", "grand_total",
 ]
@@ -75,83 +74,84 @@ def _contrast(e_pos, e, amb, neg, axis):
     return ad.sub(ad.log(den), ad.log(num))
 
 
-def _nce_vectors(scores, sets: AmbiguitySets):
-    """Per-slot contrastive losses for both directions, as (b,) vectors."""
-    b = len(sets.pos)
-    e = ad.exp(scores)
-    flat = ad.reshape(e, (b * b,))
-    diag = ad.take(flat, np.arange(b) * (b + 1))
-    amb_mask = sets.amb.astype(np.float64)
-    neg_mask = sets.neg.astype(np.float64)
-    return (_contrast(diag, e, amb_mask, neg_mask, axis=1),
-            _contrast(diag, e, amb_mask, neg_mask, axis=0))
+def _objective(flat, anchors, gathers, cfg: LossConfig):
+    """The one ARL body over a level's flat score vector: the (b,)
+    contrastive losses of every direction, in order (`_nce`), and the
+    ambiguous (margin_ma) and negative (margin_m) triplet hinges over all
+    directions (`_hinge`).
 
-
-def loss_nce_t2v(pair_slot, scores, sets: AmbiguitySets):
-    """Contrastive loss of one positive pair, query anchored over videos."""
-    t2v, _ = _nce_vectors(scores, sets)
-    return _scalar(ad.val(t2v)[pair_slot]) if not isinstance(t2v, ad.Var) \
-        else ad.reshape(ad.take(t2v, [pair_slot]), ())
-
-
-def loss_nce_v2t(pair_slot, scores, sets: AmbiguitySets):
-    """Contrastive loss of one positive pair, video anchored over queries."""
-    _, v2t = _nce_vectors(scores, sets)
-    return _scalar(ad.val(v2t)[pair_slot]) if not isinstance(v2t, ad.Var) \
-        else ad.reshape(ad.take(v2t, [pair_slot]), ())
-
-
-def loss_nce(scores, sets: AmbiguitySets):
-    """Batch means of the two contrastive directions."""
-    t2v, v2t = _nce_vectors(scores, sets)
-    return ad.reduce_mean(t2v), ad.reduce_mean(v2t)
-
-
-def _hardest(values, mask):
-    """Per row, the column of the largest masked entry (lowest on ties)
-    and whether the row has any masked entry."""
-    return np.argmax(np.where(mask, values, -np.inf), axis=1), mask.any(axis=1)
-
-
-def _hinge_mean(flat, hard_idx, anchor_idx, margin, b):
-    """sum(relu(flat[hard] - flat[anchor] + margin)) / b over index pairs;
-    no pairs give an exact zero."""
-    if len(hard_idx) == 0:
-        return 0.0
-    gap = ad.sub(ad.take(flat, hard_idx), ad.take(flat, anchor_idx))
-    return ad.div(ad.reduce_sum(ad.relu(ad.add(gap, float(margin)))), float(b))
-
-
-def loss_triplet(scores, sets: AmbiguitySets, margin, mode):
-    """Hinge loss against the hardest member of the given contrast sets.
-
-    mode "ambiguous" draws from the ambiguous sets, "negative" from the
-    negative sets; per pair, both directions (contrast video for the
-    query, contrast query for the video) contribute, empty sets
-    contribute zero, and the sum is averaged over the batch.
+    anchors are the flat positions of the b positive scores. Each gather
+    is (idx, directions): idx a 2-D integer array of flat positions, each
+    direction an (amb, neg, axis) triple of boolean masks shaped like idx
+    that reduce along `axis` (1 for a (b, n) idx, 0 for an (n, b) one) to
+    one value per anchor.
     """
-    if mode == "ambiguous":
-        mask = sets.amb
-    elif mode == "negative":
-        mask = sets.neg
-    else:
-        raise ConfigError(f"unknown triplet mode {mode!r}")
-    b = len(sets.pos)
-    sv = np.asarray(ad.val(scores), dtype=np.float64)
-    slots = np.arange(b)
-    video, row_ok = _hardest(sv, mask)          # hardest contrast video per query slot
-    query, col_ok = _hardest(sv.T, mask.T)      # hardest contrast query per video slot
-    valid = np.concatenate([row_ok, col_ok])
-    hard = np.concatenate([slots * b + video, query * b + slots])[valid]
-    anchor = np.tile(slots * (b + 1), 2)[valid]
-    return _hinge_mean(ad.reshape(scores, (b * b,)), hard, anchor, margin, b)
+    return (_nce(flat, anchors, gathers), _hinge(flat, anchors, gathers, 0, cfg.margin_ma),
+            _hinge(flat, anchors, gathers, 1, cfg.margin_m))
+
+
+def _nce(flat, anchors, gathers):
+    """The (b,) contrastive losses of every direction; exp is taken once of
+    the anchors and once per gather."""
+    e_anchor = ad.exp(ad.take(flat, anchors))
+    nce = []
+    for idx, directions in gathers:
+        e = ad.exp(ad.take(flat, idx))
+        nce += [_contrast(e_anchor, e, amb.astype(np.float64), neg.astype(np.float64), axis)
+                for amb, neg, axis in directions]
+    return nce
+
+
+def _hinge(flat, anchors, gathers, which, margin):
+    """sum(relu(hardest - anchor + margin)) / b over every direction, the
+    hardest member (lowest position on ties) drawn from each direction's
+    mask `which` (0 ambiguous, 1 negative); empty sets add nothing, and
+    no members at all give an exact zero."""
+    fv = np.asarray(ad.val(flat))
+    slots = np.arange(len(anchors))
+    hard, ok = [], []
+    for idx, directions in gathers:
+        values = fv[idx]
+        for *masks, axis in directions:
+            mask = masks[which]
+            k = np.argmax(np.where(mask, values, -np.inf), axis=axis)
+            hard.append(idx[slots, k] if axis == 1 else idx[k, slots])
+            ok.append(mask.any(axis=axis))
+    valid = np.concatenate(ok)
+    if not valid.any():
+        return 0.0
+    gap = ad.sub(ad.take(flat, np.concatenate(hard)[valid]),
+                 ad.take(flat, np.concatenate([anchors] * len(ok))[valid]))
+    return ad.div(ad.reduce_sum(ad.relu(ad.add(gap, float(margin)))), float(len(anchors)))
+
+
+def _video_level(scores, amb, neg):
+    """Flat (b*b,) scores, the diagonal anchors, and one identity gather
+    reduced over videos per query (axis 1) and over queries per video
+    (axis 0)."""
+    b = len(amb)
+    idx = np.arange(b * b).reshape(b, b)
+    return (ad.reshape(scores, (b * b,)), np.diagonal(idx),
+            [(idx, [(amb, neg, 1), (amb, neg, 0)])])
+
+
+def loss_nce_slots(scores, sets: AmbiguitySets):
+    """Per-slot contrastive losses of the video level, query over videos
+    and video over queries, as two (b,) vectors."""
+    return tuple(_nce(*_video_level(scores, sets.amb, sets.neg)))
+
+
+def loss_triplet(scores, mask, margin):
+    """Video-level hinge against the hardest member of `mask` (b, b), per
+    query over videos and per video over queries, summed over slots and
+    divided by b."""
+    return _hinge(*_video_level(scores, mask, mask), 0, margin)
 
 
 def loss_video(scores, sets: AmbiguitySets, cfg: LossConfig):
     """Combined video-level objective; returns a dict of components."""
-    nce_t2v, nce_v2t = loss_nce(scores, sets)
-    trip_a = loss_triplet(scores, sets, cfg.margin_ma, "ambiguous")
-    trip_n = loss_triplet(scores, sets, cfg.margin_m, "negative")
+    (t2v, v2t), trip_a, trip_n = _objective(*_video_level(scores, sets.amb, sets.neg), cfg)
+    nce_t2v, nce_v2t = ad.reduce_mean(t2v), ad.reduce_mean(v2t)
     total = ad.add(ad.add(ad.mul(ad.add(nce_t2v, nce_v2t), cfg.lambda_nce), trip_a), trip_n)
     return {"nce_t2v": nce_t2v, "nce_v2t": nce_v2t,
             "trip_a": trip_a, "trip_n": trip_n, "total": total}
@@ -169,39 +169,16 @@ def loss_frame(frame_sims, frames: FrameSets, cfg: LossConfig):
     b, _, l_v = np.shape(ad.val(frame_sims))
     if l_v == 1:
         return {"nce": 0.0, "trip_a": 0.0, "trip_n": 0.0, "total": 0.0}
-
     slots = np.arange(b)
     k_hat = np.asarray(frames.best_frame)
-    flat = ad.reshape(frame_sims, (b * b * l_v,))
-    # flat positions of own[p, k] = sims[p, p, k], sel[p, x] = sims[x, p, k^_p]
-    # and the anchor sims[p, p, k^_p]
+    # own[p, k] = sims[p, p, k], sel[p, x] = sims[x, p, k^_p], anchor sims[p, p, k^_p]
     own_idx = (slots * (b + 1) * l_v)[:, None] + np.arange(l_v)
     sel_idx = (slots[None, :] * b + slots[:, None]) * l_v + k_hat[:, None]
-    anchor_idx = slots * (b + 1) * l_v + k_hat
-
-    def exp_at(idx):
-        return ad.exp(ad.take(flat, idx))
-
-    amb_f, neg_f = frames.amb_frame_mask, frames.neg_frame_mask
-    amb_q, neg_q = frames.amb_query_mask, frames.neg_query_mask
-    e_anchor = exp_at(anchor_idx)
-    nce = ad.add(
-        _contrast(e_anchor, exp_at(own_idx), amb_f.astype(np.float64), neg_f.astype(np.float64), 1),
-        _contrast(e_anchor, exp_at(sel_idx), amb_q.astype(np.float64), neg_q.astype(np.float64), 1))
-    nce = ad.div(ad.reduce_sum(nce), float(b))
-
-    fv = np.asarray(ad.val(frame_sims), dtype=np.float64).reshape(-1)
-    own_v, sel_v = fv[own_idx], fv[sel_idx]
-
-    def triplet(mask_f, mask_q, margin):
-        k_star, f_ok = _hardest(own_v, mask_f)
-        x_star, q_ok = _hardest(sel_v, mask_q)
-        valid = np.concatenate([f_ok, q_ok])
-        hard = np.concatenate([own_idx[slots, k_star], sel_idx[slots, x_star]])[valid]
-        return _hinge_mean(flat, hard, np.tile(anchor_idx, 2)[valid], margin, b)
-
-    trip_a = triplet(amb_f, amb_q, cfg.margin_ma)
-    trip_n = triplet(neg_f, neg_q, cfg.margin_m)
+    (own, sel), trip_a, trip_n = _objective(
+        ad.reshape(frame_sims, (b * b * l_v,)), slots * (b + 1) * l_v + k_hat,
+        [(own_idx, [(frames.amb_frame_mask, frames.neg_frame_mask, 1)]),
+         (sel_idx, [(frames.amb_query_mask, frames.neg_query_mask, 1)])], cfg)
+    nce = ad.div(ad.reduce_sum(ad.add(own, sel)), float(b))
     total = ad.add(ad.add(ad.mul(nce, cfg.lambda_nce), trip_a), trip_n)
     return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
 

@@ -197,6 +197,108 @@ def loop_loss_frame(frame_sims, frames, cfg):
     return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
 
 
+# --- the two-form objective --------------------------------------------
+# The video and frame objectives as two separate implementations: the
+# video level on the (b, b) matrix with its transposed masks, the frame
+# level on flat gathers. The library runs both levels through one body;
+# these forms pin its values and gradients bit for bit.
+
+def _form_contrast(e_pos, e, amb, neg, axis):
+    from prvr import autodiff as ad
+
+    num = ad.add(e_pos, ad.reduce_sum(ad.mul(e, amb), axis=axis))
+    den = ad.add(num, ad.reduce_sum(ad.mul(e, neg), axis=axis))
+    return ad.sub(ad.log(den), ad.log(num))
+
+
+def _form_hardest(values, mask):
+    return np.argmax(np.where(mask, values, -np.inf), axis=1), mask.any(axis=1)
+
+
+def _form_hinge_mean(flat, hard_idx, anchor_idx, margin, b):
+    from prvr import autodiff as ad
+
+    if len(hard_idx) == 0:
+        return 0.0
+    gap = ad.sub(ad.take(flat, hard_idx), ad.take(flat, anchor_idx))
+    return ad.div(ad.reduce_sum(ad.relu(ad.add(gap, float(margin)))), float(b))
+
+
+def _form_triplet(scores, sets, mask, margin):
+    from prvr import autodiff as ad
+
+    b = len(sets.pos)
+    sv = np.asarray(ad.val(scores), dtype=np.float64)
+    slots = np.arange(b)
+    video, row_ok = _form_hardest(sv, mask)
+    query, col_ok = _form_hardest(sv.T, mask.T)
+    valid = np.concatenate([row_ok, col_ok])
+    hard = np.concatenate([slots * b + video, query * b + slots])[valid]
+    anchor = np.tile(slots * (b + 1), 2)[valid]
+    return _form_hinge_mean(ad.reshape(scores, (b * b,)), hard, anchor, margin, b)
+
+
+def matrix_loss_video(scores, sets, cfg):
+    """Video objective on the (b, b) score matrix: one exp of the matrix,
+    contrastive means over rows and columns, triplets on the transpose."""
+    from prvr import autodiff as ad
+
+    b = len(sets.pos)
+    e = ad.exp(scores)
+    diag = ad.take(ad.reshape(e, (b * b,)), np.arange(b) * (b + 1))
+    amb_mask = sets.amb.astype(np.float64)
+    neg_mask = sets.neg.astype(np.float64)
+    nce_t2v = ad.reduce_mean(_form_contrast(diag, e, amb_mask, neg_mask, axis=1))
+    nce_v2t = ad.reduce_mean(_form_contrast(diag, e, amb_mask, neg_mask, axis=0))
+    trip_a = _form_triplet(scores, sets, sets.amb, cfg.margin_ma)
+    trip_n = _form_triplet(scores, sets, sets.neg, cfg.margin_m)
+    total = ad.add(ad.add(ad.mul(ad.add(nce_t2v, nce_v2t), cfg.lambda_nce), trip_a), trip_n)
+    return {"nce_t2v": nce_t2v, "nce_v2t": nce_v2t,
+            "trip_a": trip_a, "trip_n": trip_n, "total": total}
+
+
+def gather_loss_frame(frame_sims, frames, cfg):
+    """Frame objective on flat gathers of the (b, b, L_v) cosine tensor."""
+    from prvr import autodiff as ad
+
+    b, _, l_v = np.shape(ad.val(frame_sims))
+    if l_v == 1:
+        return {"nce": 0.0, "trip_a": 0.0, "trip_n": 0.0, "total": 0.0}
+    slots = np.arange(b)
+    k_hat = np.asarray(frames.best_frame)
+    flat = ad.reshape(frame_sims, (b * b * l_v,))
+    own_idx = (slots * (b + 1) * l_v)[:, None] + np.arange(l_v)
+    sel_idx = (slots[None, :] * b + slots[:, None]) * l_v + k_hat[:, None]
+    anchor_idx = slots * (b + 1) * l_v + k_hat
+
+    def exp_at(idx):
+        return ad.exp(ad.take(flat, idx))
+
+    amb_f, neg_f = frames.amb_frame_mask, frames.neg_frame_mask
+    amb_q, neg_q = frames.amb_query_mask, frames.neg_query_mask
+    e_anchor = exp_at(anchor_idx)
+    nce = ad.add(
+        _form_contrast(e_anchor, exp_at(own_idx), amb_f.astype(np.float64),
+                       neg_f.astype(np.float64), 1),
+        _form_contrast(e_anchor, exp_at(sel_idx), amb_q.astype(np.float64),
+                       neg_q.astype(np.float64), 1))
+    nce = ad.div(ad.reduce_sum(nce), float(b))
+
+    fv = np.asarray(ad.val(frame_sims), dtype=np.float64).reshape(-1)
+    own_v, sel_v = fv[own_idx], fv[sel_idx]
+
+    def triplet(mask_f, mask_q, margin):
+        k_star, f_ok = _form_hardest(own_v, mask_f)
+        x_star, q_ok = _form_hardest(sel_v, mask_q)
+        valid = np.concatenate([f_ok, q_ok])
+        hard = np.concatenate([own_idx[slots, k_star], sel_idx[slots, x_star]])[valid]
+        return _form_hinge_mean(flat, hard, np.tile(anchor_idx, 2)[valid], margin, b)
+
+    trip_a = triplet(amb_f, amb_q, cfg.margin_ma)
+    trip_n = triplet(neg_f, neg_q, cfg.margin_m)
+    total = ad.add(ad.add(ad.mul(nce, cfg.lambda_nce), trip_a), trip_n)
+    return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
+
 # --- per-pair scoring ------------------------------------------------------
 # One (query, video) pair or one table entry at a time, against which the
 # library's batched and corpus-wide paths are checked.

@@ -22,8 +22,8 @@ from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.encoder import EncoderDims, EncoderParams, encode_text, encode_video
 from prvr.evaluation import audit, evaluate, fused_pair_scores, recall_from_scores
 from prvr.gradcheck import run_suite
-from prvr.losses import (LossConfig, forced_negative_sets, loss_nce_t2v,
-                         loss_nce_v2t, loss_triplet, loss_video, loss_warmup)
+from prvr.losses import (LossConfig, forced_negative_sets, loss_nce_slots,
+                         loss_triplet, loss_video, loss_warmup)
 from prvr.similarity import CorpusSimilarityMap, build_corpus_map
 from prvr.trainer import TrainConfig, train
 
@@ -102,12 +102,11 @@ def test_accept_03_loss_degeneracy():
         batch = [(i, i) for i in range(b)]
         scores = rng.uniform(-1, 1, size=(b, b))
         sets = forced_negative_sets(batch)
+        t2v, v2t = loss_nce_slots(scores, sets)
         for i in range(b):
-            worst = max(worst, abs(loss_nce_t2v(i, scores, sets)
-                                   - reference_single_positive(scores, i, "row")))
-            worst = max(worst, abs(loss_nce_v2t(i, scores, sets)
-                                   - reference_single_positive(scores, i, "col")))
-        assert loss_triplet(scores, sets, 0.1, "ambiguous") == 0.0
+            worst = max(worst, abs(t2v[i] - reference_single_positive(scores, i, "row")))
+            worst = max(worst, abs(v2t[i] - reference_single_positive(scores, i, "col")))
+        assert loss_triplet(scores, sets.amb, 0.1) == 0.0
         cfg = LossConfig(**EXP_LOSS)
         w = loss_warmup(scores, batch, cfg)
         v = loss_video(scores, sets, cfg)

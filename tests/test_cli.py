@@ -482,3 +482,80 @@ def test_non_utf8_config_exits_3(tmp_path, spec_file, capsys, command):
     assert main(argv) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"prvr: config-error: cannot read config file {bad}")
+
+
+def test_audit_of_one_video_corpus_leaves_unpaired_means_empty(tmp_path, spec_file,
+                                                                train_file, capsys):
+    # one video: every pair is positive, so the unpaired means are undefined
+    import csv
+    import warnings
+
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path, "--set", "n_v=1"]) == 0
+    run = tmp_path / "run"
+    assert main(["train", "--corpus", corpus_path, "--config", train_file,
+                 "--out", str(run)]) == 0
+    out = tmp_path / "audit.csv"
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["audit", "--checkpoint", str(run / "checkpoint.ckpt"),
+                     "--corpus", corpus_path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    with open(out, newline="") as fh:
+        summary = {row[1]: row[2] for row in csv.reader(fh) if row[0] == "summary"}
+    assert summary["mean_unpaired_similarity"] == ""
+    assert summary["mean_unpaired_uncertainty"] == ""
+    assert float(summary["mean_positive_similarity"]) == float(summary["tau_s"])
+
+
+@pytest.mark.parametrize("lines, lineno, what", (
+    ("seed = 2\nseed = 5\n", 3, "repeated key 'seed'"),
+    ("= 5\n", 2, "empty key")), ids=("repeated", "empty"))
+def test_repeated_or_empty_config_key_exits_3(tmp_path, spec_file, capsys, lines, lineno,
+                                              what):
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    bad = tmp_path / "train.cfg"
+    bad.write_text("epochs = 2\n" + lines)
+    capsys.readouterr()
+    assert main(["train", "--corpus", corpus_path, "--config", str(bad),
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"prvr: config-error: {bad}:{lineno}: {what}"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("sets, what", (
+    (["=5"], "empty key"),
+    (["seed=2", "seed=5"], "repeated key 'seed'"),
+    (["seed"], "expected key=value, got 'seed'")), ids=("empty", "repeated", "no-equals"))
+def test_bad_set_override_exits_3(tmp_path, spec_file, train_file, capsys, sets, what):
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    capsys.readouterr()
+    argv = ["train", "--corpus", corpus_path, "--config", train_file,
+            "--out", str(tmp_path / "run")]
+    assert main(argv + [a for kv in sets for a in ("--set", kv)]) == 3
+    assert capsys.readouterr().err.strip().splitlines() == [f"prvr: config-error: --set: {what}"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("extra, what", ((b"seed=5\n", "repeated key 'seed'"),
+                                         (b"=5\n", "empty key")), ids=("repeated", "empty"))
+def test_repeated_or_empty_key_in_config_block_exits_3(tmp_path, spec_file, train_file,
+                                                       capsys, extra, what):
+    from prvr.errors import FormatError
+    from prvr.trainer import resume
+
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    data = open(ckpt, "rb").read()
+    block = _config_block(data)
+    lineno = block.split(b"\n").index(b"seed=9") + 2
+    bad = block.replace(b"seed=9\n", b"seed=9\n" + extra)
+    with open(ckpt, "wb") as fh:
+        fh.write(data[:8] + struct.pack("<I", len(bad)) + bad + data[12 + len(block):])
+    with pytest.raises(FormatError, match=f"^config block: line:{lineno}: {what}$"):
+        resume(ckpt)
+    _evaluate_fails(tmp_path, ckpt, corpus_path, capsys,
+                    f"prvr: config-error: config block: line:{lineno}: {what}")

@@ -10,8 +10,7 @@ from prvr.ambiguity import (AmbiguitySets, FrameSets, Thresholds, UncertaintyTab
                             detect_frame_ambiguity, detect_video_ambiguity)
 from prvr.errors import ConfigError
 from prvr.losses import (LossConfig, forced_negative_sets, grand_total, loss_frame,
-                         loss_nce, loss_nce_t2v, loss_nce_v2t, loss_triplet,
-                         loss_video, loss_warmup)
+                         loss_nce_slots, loss_triplet, loss_video, loss_warmup)
 
 
 def sets_from_masks(batch, amb):
@@ -41,14 +40,14 @@ def distinct_batch(b):
     return [(i, i) for i in range(b)]
 
 
-from tests.oracles import (brute_force_frame_sets, loop_loss_frame, loop_loss_triplet,
-                           reference_single_positive)
+from tests.oracles import (brute_force_frame_sets, gather_loss_frame, loop_loss_frame,
+                           loop_loss_triplet, matrix_loss_video, reference_single_positive)
 
 
 def test_uniform_similarities_batch_of_four():
     scores = np.full((4, 4), 0.3)
     sets = forced_negative_sets(distinct_batch(4))
-    val = loss_nce_t2v(0, scores, sets)
+    val = loss_nce_slots(scores, sets)[0][0]
     assert val == pytest.approx(-math.log(1.0 / 4.0), abs=1e-12)
     assert val == pytest.approx(1.3862944, abs=1e-6)
 
@@ -57,8 +56,9 @@ def test_all_ambiguous_gives_zero():
     rng = np.random.default_rng(0)
     scores = rng.uniform(-1, 1, size=(3, 3))
     sets = sets_from_masks(distinct_batch(3), np.ones((3, 3)))
-    assert loss_nce_t2v(1, scores, sets) == 0.0
-    assert loss_nce_v2t(1, scores, sets) == 0.0
+    t2v, v2t = loss_nce_slots(scores, sets)
+    assert t2v[1] == 0.0
+    assert v2t[1] == 0.0
 
 
 def test_empty_ambiguous_matches_reference_contrastive():
@@ -66,10 +66,11 @@ def test_empty_ambiguous_matches_reference_contrastive():
                        [0.1, 0.9, 0.4],
                        [0.3, 0.2, 0.7]])
     sets = forced_negative_sets(distinct_batch(3))
+    t2v, v2t = loss_nce_slots(scores, sets)
     for i in range(3):
-        assert loss_nce_t2v(i, scores, sets) == pytest.approx(
+        assert t2v[i] == pytest.approx(
             reference_single_positive(scores, i, "row"), abs=1e-12)
-        assert loss_nce_v2t(i, scores, sets) == pytest.approx(
+        assert v2t[i] == pytest.approx(
             reference_single_positive(scores, i, "col"), abs=1e-12)
 
 
@@ -79,27 +80,28 @@ def test_v2t_mirrors_t2v_on_transposed_scores():
     amb = rng.random((4, 4)) < 0.3
     sets = sets_from_masks(distinct_batch(4), amb)
     sets_t = sets_from_masks(distinct_batch(4), amb.T)
+    v2t = loss_nce_slots(scores, sets)[1]
+    t2v_of_transpose = loss_nce_slots(scores.T, sets_t)[0]
     for i in range(4):
-        assert loss_nce_v2t(i, scores, sets) == pytest.approx(
-            loss_nce_t2v(i, scores.T, sets_t), abs=1e-12)
+        assert v2t[i] == pytest.approx(t2v_of_transpose[i], abs=1e-12)
 
 
 def test_loss_nce_single_pair_and_mean_oracle():
+    # loss_video's two contrastive terms are the means of the per-slot vectors
     rng = np.random.default_rng(2)
     scores = rng.uniform(-1, 1, size=(5, 5))
     sets = sets_from_masks(distinct_batch(5), rng.random((5, 5)) < 0.4)
-    t2v, v2t = loss_nce(scores, sets)
-    want_t2v = np.mean([loss_nce_t2v(i, scores, sets) for i in range(5)])
-    want_v2t = np.mean([loss_nce_v2t(i, scores, sets) for i in range(5)])
-    assert t2v == pytest.approx(want_t2v, abs=1e-12)
-    assert v2t == pytest.approx(want_v2t, abs=1e-12)
+    parts = loss_video(scores, sets, LossConfig())
+    t2v, v2t = loss_nce_slots(scores, sets)
+    assert t2v.shape == v2t.shape == (5,)
+    assert parts["nce_t2v"] == pytest.approx(np.mean(t2v), abs=1e-12)
+    assert parts["nce_v2t"] == pytest.approx(np.mean(v2t), abs=1e-12)
 
     one = np.array([[0.4, 0.1], [0.0, 0.6]])
     sets1 = forced_negative_sets(distinct_batch(2))
-    t, v = loss_nce(one, sets1)
-    assert t + v == pytest.approx(
-        np.mean([loss_nce_t2v(i, one, sets1) + loss_nce_v2t(i, one, sets1)
-                 for i in range(2)]), abs=1e-12)
+    parts1 = loss_video(one, sets1, LossConfig())
+    t, v = loss_nce_slots(one, sets1)
+    assert parts1["nce_t2v"] + parts1["nce_v2t"] == pytest.approx(np.mean(t + v), abs=1e-12)
 
 
 def test_nce_nonnegative_and_zero_iff_no_negatives():
@@ -109,8 +111,9 @@ def test_nce_nonnegative_and_zero_iff_no_negatives():
         scores = rng.uniform(-1, 1, size=(b, b))
         amb = rng.random((b, b)) < rng.random()
         sets = sets_from_masks(distinct_batch(b), amb)
+        t2v = loss_nce_slots(scores, sets)[0]
         for i in range(b):
-            v = loss_nce_t2v(i, scores, sets)
+            v = t2v[i]
             assert v >= 0.0
             if not np.nonzero(sets.neg[i])[0].size:
                 assert v == 0.0
@@ -132,9 +135,9 @@ def test_moving_negatives_to_ambiguous_never_increases_t2v():
         pick = rng.integers(len(negs[0]))
         grown[negs[0][pick], negs[1][pick]] = True
         sets_grown = sets_from_masks(distinct_batch(b), grown)
+        t2v_grown, t2v = loss_nce_slots(scores, sets_grown)[0], loss_nce_slots(scores, sets)[0]
         for i in range(b):
-            assert loss_nce_t2v(i, scores, sets_grown) <= \
-                loss_nce_t2v(i, scores, sets) + 1e-15
+            assert t2v_grown[i] <= t2v[i] + 1e-15
 
 
 # --- triplets ----------------------------------------------------------
@@ -142,7 +145,7 @@ def test_moving_negatives_to_ambiguous_never_increases_t2v():
 def test_hinge_satisfied_margin_is_zero():
     scores = np.array([[0.8, 0.5], [0.2, 0.9]])
     sets = forced_negative_sets(distinct_batch(2))
-    val = loss_triplet(scores, sets, margin=0.2, mode="negative")
+    val = loss_triplet(scores, sets.neg, margin=0.2)
     # all gaps >= margin: 0.8-0.5 and 0.9-0.2 both > 0.2 either direction
     assert val == 0.0
 
@@ -150,7 +153,7 @@ def test_hinge_satisfied_margin_is_zero():
 def test_hinge_arithmetic():
     scores = np.array([[0.8, 0.7], [-1.0, 0.9]])
     sets = forced_negative_sets(distinct_batch(2))
-    val = loss_triplet(scores, sets, margin=0.2, mode="negative")
+    val = loss_triplet(scores, sets.neg, margin=0.2)
     # pair 0: video dir max(0, .2+.7-.8)=.1, query dir max(0,.2-1-.8)=0
     # pair 1: video dir max(0,.2-1-.9)=0, query dir max(0,.2+.7-.9)=0
     assert val == pytest.approx(0.1 / 2.0, abs=1e-12)
@@ -160,7 +163,7 @@ def test_empty_ambiguous_sets_give_zero_triplet():
     rng = np.random.default_rng(5)
     scores = rng.uniform(-1, 1, size=(4, 4))
     sets = forced_negative_sets(distinct_batch(4))
-    assert loss_triplet(scores, sets, margin=0.1, mode="ambiguous") == 0.0
+    assert loss_triplet(scores, sets.amb, margin=0.1) == 0.0
 
 
 def test_triplet_monotone_in_margin_and_ma_le_m():
@@ -169,9 +172,9 @@ def test_triplet_monotone_in_margin_and_ma_le_m():
         scores = rng.uniform(-1, 1, size=(4, 4))
         amb = rng.random((4, 4)) < 0.5
         sets = sets_from_masks(distinct_batch(4), amb)
-        for mode in ("ambiguous", "negative"):
-            lo = loss_triplet(scores, sets, margin=0.1, mode=mode)
-            hi = loss_triplet(scores, sets, margin=0.3, mode=mode)
+        for mask in (sets.amb, sets.neg):
+            lo = loss_triplet(scores, mask, margin=0.1)
+            hi = loss_triplet(scores, mask, margin=0.3)
             assert float(np.asarray(lo)) <= float(np.asarray(hi)) + 1e-15
 
 
@@ -182,17 +185,11 @@ def test_triplet_uses_hardest_member():
     amb = np.zeros((3, 3), dtype=bool)
     amb[0, 1] = amb[0, 2] = True  # candidates 0.1 and 0.6 -> hardest 0.6
     sets = sets_from_masks(distinct_batch(3), amb)
-    val = loss_triplet(scores, sets, margin=0.4, mode="ambiguous")
+    val = loss_triplet(scores, sets.amb, margin=0.4)
     # query 0 row: hardest of {0.1, 0.6} is 0.6 -> max(0, 0.4+0.6-0.9) = 0.1
     # video 1 col: A = {q0} -> max(0, 0.4+0.1-0.8) = 0
     # video 2 col: A = {q0} -> max(0, 0.4+0.6-0.7) = 0.3
     assert val == pytest.approx((0.1 + 0.3) / 3.0, abs=1e-12)
-
-
-def test_unknown_mode_rejected():
-    sets = forced_negative_sets(distinct_batch(2))
-    with pytest.raises(ConfigError):
-        loss_triplet(np.zeros((2, 2)), sets, 0.1, "positive")
 
 
 # --- combined objectives -------------------------------------------------
@@ -363,7 +360,7 @@ def test_duplicate_videos_in_batch_are_masked_as_positives():
     assert 0 not in np.nonzero(sets.neg[1])[0]
     # contrastive for pair 0 only contrasts against video slot 2
     want = -math.log(math.exp(0.9) / (math.exp(0.9) + math.exp(0.1)))
-    assert loss_nce_t2v(0, scores, sets) == pytest.approx(want, abs=1e-12)
+    assert loss_nce_slots(scores, sets)[0][0] == pytest.approx(want, abs=1e-12)
 
 
 # --- mask losses against the per-pair loop oracles ---------------------------
@@ -447,9 +444,53 @@ def test_loss_triplet_matches_loop_oracle_in_value_and_gradient():
         sets = sets_from_masks(batch, rng.random((b, b)) < fill)
         scores = rng.uniform(-1, 1, size=(b, b))
         for mode, margin in (("ambiguous", 0.1), ("negative", 0.2)):
+            mask = sets.amb if mode == "ambiguous" else sets.neg
             x_mask, x_loop = ad.Var(scores), ad.Var(scores)
-            got, g_got = _value_and_grad(loss_triplet(x_mask, sets, margin, mode), x_mask)
+            got, g_got = _value_and_grad(loss_triplet(x_mask, mask, margin), x_mask)
             want, g_want = _value_and_grad(
                 loop_loss_triplet(x_loop, sets, margin, mode), x_loop)
             assert got == pytest.approx(want, abs=1e-12), (trial, mode)
             np.testing.assert_allclose(g_got, g_want, rtol=0, atol=1e-12)
+
+
+# --- one objective body against the two-form reference, bit for bit ---------
+
+def _parts_value_and_grad(loss_fn, x, sets, cfg):
+    """Every component's value and the total's gradient wrt x."""
+    var = ad.Var(x)
+    parts = loss_fn(var, sets, cfg)
+    values = {k: float(np.asarray(ad.val(v))) for k, v in parts.items()}
+    _, grad = _value_and_grad(parts["total"], var)
+    return values, grad
+
+
+@pytest.mark.parametrize("regime", _REGIMES)
+def test_levels_equal_two_form_reference_bitwise(regime):
+    # tolerance 0: the level/gather body keeps the matrix-form video
+    # objective's and the gather-form frame objective's exp nodes, so
+    # values and gradients match to the last bit
+    rng = np.random.default_rng(19)
+    cfg = LossConfig()
+    sizes = [2, 2, 3, 5, 8, 32] + [int(rng.integers(2, 33)) for _ in range(24)]
+    for trial, b in enumerate(sizes):
+        n_v = max(1, b // 2) if trial % 2 else 2 * b    # odd trials repeat videos
+        batch = [(x, int(rng.integers(n_v))) for x in range(b)]
+        scores = rng.uniform(-1, 1, size=(b, b))
+        fill = {"median": 0.4, "all_ambiguous": 1.0, "all_negative": 0.0}[regime]
+        sets = sets_from_masks(batch, rng.random((b, b)) < fill)
+        got, g_got = _parts_value_and_grad(loss_video, scores, sets, cfg)
+        want, g_want = _parts_value_and_grad(matrix_loss_video, scores, sets, cfg)
+        assert got == want, (trial, b)
+        assert np.array_equal(g_got, g_want), (trial, b)
+
+        l_v = 1 if trial < 2 else int(rng.integers(2, 17))
+        sims = rng.uniform(-1, 1, size=(b, b, l_v))
+        tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=b),
+                                   u_v=rng.uniform(-1, 1, size=(n_v, l_v)))
+        tau = {"median": (float(np.median(sims)), 0.0),
+               "all_ambiguous": (-2.0, -2.0), "all_negative": (2.0, 2.0)}[regime]
+        fsets = detect_frame_ambiguity(batch, sims, tables, Thresholds(*tau))
+        got, g_got = _parts_value_and_grad(loss_frame, sims, fsets, cfg)
+        want, g_want = _parts_value_and_grad(gather_loss_frame, sims, fsets, cfg)
+        assert got == want, (trial, b, l_v)
+        assert np.array_equal(g_got, g_want), (trial, b, l_v)

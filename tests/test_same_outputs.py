@@ -1,0 +1,51 @@
+"""tools/same_outputs.py: the checkout against itself, and its verdicts."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("same_outputs", ROOT / "tools" / "same_outputs.py")
+same_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_outputs)
+
+
+def test_checkout_against_itself_at_smoke_scale(tmp_path, capsys):
+    assert same_outputs.main([str(ROOT), str(ROOT), "--smoke", "--work", str(tmp_path)]) == 0
+    out = capsys.readouterr().out.strip().splitlines()
+    # 4 corpora (file + stdout each) and 6 cases (5 files + 3 stdouts each)
+    assert out == ["56 outputs compared: 0 differ, 0 commands failed"]
+    for side in ("a", "b"):
+        for name in ("arl-11", "warm-11", "arl-12", "warm-12"):
+            run = tmp_path / side / name
+            assert sorted(p.name for p in run.iterdir()) == sorted(same_outputs.RUN_FILES)
+        assert (tmp_path / side / "tv-11" / "audit.csv").stat().st_size > 0
+    log = (tmp_path / "a" / "arl-11" / "training_log.csv").read_bytes()
+    assert log.count(b"\n") == 1 + 2 * 4    # header, one row per branch and epoch
+
+
+def test_cases_cover_both_configs_per_seed_and_two_variants():
+    names = [name for name, *_ in same_outputs.cases(smoke=False)]
+    assert names == ["arl-11", "warm-11", "arl-12", "warm-12", "tv-11", "frame-11"]
+    overrides = {name: sets for name, _, _, sets in same_outputs.cases(smoke=False)}
+    assert overrides["tv-11"] == ("frame_lad=false", "cross_model=false")
+    assert overrides["frame-11"] == ("video_lad=false",)
+
+
+def test_any_difference_or_failure_exits_1(tmp_path, capsys, monkeypatch):
+    runs = iter([({"x": b"1", "y": b"2"}, []), ({"x": b"1", "z": b"2"}, [])])
+    monkeypatch.setattr(same_outputs, "run_checkout", lambda *args: next(runs))
+    assert same_outputs.main([str(ROOT), str(ROOT), "--work", str(tmp_path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[:2] == ["differs: y", "differs: z"]
+
+    runs = iter([({"x": b"1"}, ["a: train exited 3"]), ({"x": b"1"}, [])])
+    assert same_outputs.main([str(ROOT), str(ROOT), "--work", str(tmp_path)]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "failed: a: train exited 3"
+
+
+def test_not_a_checkout_is_a_usage_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        same_outputs.main([str(tmp_path), str(ROOT)])
+    assert exc.value.code == 2
