@@ -131,6 +131,14 @@ def corpus_thresholds(params, corpus):
                                       corpus.pairing)
 
 
+def batch_slots(batch):
+    """(q_idx, v_idx, same_video) of a list of (query, video) index pairs:
+    each slot's query and video, and the (b, b) mask of one-video slots."""
+    q_idx = np.asarray([q for q, _ in batch])
+    v_idx = np.asarray([v for _, v in batch])
+    return q_idx, v_idx, v_idx[:, None] == v_idx[None, :]
+
+
 def detect_video_ambiguity(batch, scores, best_frames,
                            tables: UncertaintyTables,
                            thresholds: Thresholds) -> AmbiguitySets:
@@ -142,10 +150,7 @@ def detect_video_ambiguity(batch, scores, best_frames,
     """
     scores = np.asarray(scores, dtype=np.float64)
     best_frames = np.asarray(best_frames)
-    q_idx = np.asarray([q for q, _ in batch])
-    v_idx = np.asarray([v for _, v in batch])
-
-    pos = v_idx[:, None] == v_idx[None, :]
+    q_idx, v_idx, pos = batch_slots(batch)
     u = pair_uncertainties(tables.u_q[q_idx], tables.u_v[v_idx], best_frames)
     amb = (~pos) & is_ambiguous(scores, u, thresholds)
     return AmbiguitySets(pos=pos, amb=amb)
@@ -163,8 +168,7 @@ def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,
     frame_sims = np.asarray(frame_sims, dtype=np.float64)
     b = frame_sims.shape[0]
     slots = np.arange(b)
-    q_idx = np.asarray([q for q, _ in batch])
-    v_idx = np.asarray([v for _, v in batch])
+    q_idx, v_idx, same_video = batch_slots(batch)
 
     own = frame_sims[slots, slots]                       # (b, L_v): pair p's own video
     best = np.argmax(own, axis=1)
@@ -176,9 +180,8 @@ def detect_frame_ambiguity(batch, frame_sims, tables: UncertaintyTables,
 
     sel = frame_sims[:, slots, best].T                   # [p, x]: query x at p's best frame
     u_sel = (tables.u_q[q_idx][None, :] + tables.u_v[v_idx, best][:, None]) / 2.0
-    unpaired = v_idx[:, None] != v_idx[None, :]
-    amb_q = unpaired & is_ambiguous(sel, u_sel, thresholds)
-    neg_q = unpaired & ~amb_q
+    amb_q = ~same_video & is_ambiguous(sel, u_sel, thresholds)
+    neg_q = ~(same_video | amb_q)
 
     return FrameSets(best_frame=best, amb_frame_mask=amb_f, neg_frame_mask=neg_f,
                      amb_query_mask=amb_q, neg_query_mask=neg_q)

@@ -62,12 +62,14 @@ def cmd_train(args):
     corpus = read_corpus(args.corpus)
     lines = resolved_lines(cfg)
     _print_resolved(lines)
-    os.makedirs(args.out, exist_ok=True)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        raise ConfigError(f"--out is not a directory: {args.out}")
 
-    # every output is written after train returns, so a rejected run
-    # leaves an earlier run's files in args.out consistent
+    # --out and its files are written after train returns, so a rejected
+    # run leaves no new directory, and an earlier run's files consistent
     state, log_rows = train(corpus, cfg)
 
+    os.makedirs(args.out, exist_ok=True)
     with _atomic_open(os.path.join(args.out, "config.resolved")) as fh:
         fh.write("\n".join(lines) + "\n")
     ckpt_path = os.path.join(args.out, "checkpoint.ckpt")

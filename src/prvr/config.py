@@ -6,18 +6,17 @@ starts. A --set override replaces a file's value; the overrides follow the
 same rule among themselves, so `--set =5` and a key given twice by --set
 are rejected too.
 
-The key/type schema of each file is read off its config dataclass. A
-training config renders to one text, resolved_lines; that text is both
-`config.resolved` and the config block of a checkpoint, and it is read
-back by the same line parser and validation as a config file.
+The key/type schema of each file is read off its config dataclass, one
+field per key. A config renders to sorted lines, resolved_lines; for a
+TrainConfig that text is both `config.resolved` and the checkpoint's
+config block, read back by the same parser and validation as a file.
 """
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .corpus import CorpusSpec
 from .errors import ConfigError
-from .losses import LossConfig
 
 
 @dataclass(frozen=True)
@@ -31,29 +30,38 @@ class TrainConfig:
     video_lad: bool = True
     frame_lad: bool = True
     embed_dim: int = 64
-    loss: LossConfig = field(default_factory=LossConfig)
+    margin_m: float = 0.2
+    margin_ma: float = 0.1
+    lambda_nce: float = 0.02
 
     def validate(self):
+        for f in fields(self):
+            if f.type is float and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if self.batch_size < 2:
             raise ConfigError("batch_size must be >= 2 (contrastive losses need an unpaired member)")
         if self.warmup_epochs < 0 or self.epochs < self.warmup_epochs:
             raise ConfigError("need epochs >= warmup_epochs >= 0")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigError(
-                f"learning_rate must be finite and nonnegative, got {self.learning_rate!r}")
+        if self.learning_rate < 0:
+            raise ConfigError(f"learning_rate must be nonnegative, got {self.learning_rate!r}")
         if self.embed_dim <= 0:
             raise ConfigError("embed_dim must be positive")
-        self.loss.validate()
+        if self.margin_m < 0 or self.margin_ma < 0:
+            raise ConfigError("margins must be nonnegative")
+        if not self.margin_ma < self.margin_m:
+            raise ConfigError(
+                f"margin_ma ({self.margin_ma}) must be smaller than margin_m ({self.margin_m})")
+        if self.lambda_nce <= 0:
+            raise ConfigError("lambda_nce must be positive")
 
 
 def _schema(cls) -> dict:
     """{field name: type} of a config dataclass, in declaration order."""
-    return {f.name: f.type for f in fields(cls) if f.name != "loss"}
+    return {f.name: f.type for f in fields(cls)}
 
 
 CORPUS_KEYS = _schema(CorpusSpec)
 TRAIN_KEYS = _schema(TrainConfig)
-LOSS_KEYS = _schema(LossConfig)
 
 
 def _entries(items) -> dict:
@@ -120,9 +128,7 @@ def corpus_spec_from(entries: dict) -> CorpusSpec:
 
 
 def train_config_from(entries: dict) -> TrainConfig:
-    typed = _typed(entries, dict(TRAIN_KEYS, **LOSS_KEYS), "training")
-    loss_kwargs = {k: typed.pop(k) for k in LOSS_KEYS if k in typed}
-    cfg = TrainConfig(loss=LossConfig(**loss_kwargs), **typed)
+    cfg = TrainConfig(**_typed(entries, TRAIN_KEYS, "training"))
     cfg.validate()
     return cfg
 
@@ -130,16 +136,12 @@ def train_config_from(entries: dict) -> TrainConfig:
 def train_config_from_text(text: str) -> TrainConfig:
     """Inverse of resolved_lines for a TrainConfig; every key must be present."""
     entries = parse_kv_lines(text.splitlines(), "line")
-    missing = (TRAIN_KEYS.keys() | LOSS_KEYS.keys()) - entries.keys()
+    missing = TRAIN_KEYS.keys() - entries.keys()
     if missing:
         raise ConfigError(f"missing key(s): {', '.join(sorted(missing))}")
     return train_config_from(entries)
 
 
 def resolved_lines(cfg):
-    """Render a CorpusSpec or TrainConfig back to sorted key=value lines;
-    a TrainConfig's loss keys follow, sorted among themselves."""
-    lines = [f"{k}={getattr(cfg, k)}" for k in sorted(_schema(type(cfg)))]
-    if isinstance(cfg, TrainConfig):
-        lines += [f"{k}={getattr(cfg.loss, k)}" for k in sorted(LOSS_KEYS)]
-    return lines
+    """Render a CorpusSpec or TrainConfig back to sorted key=value lines."""
+    return [f"{k}={getattr(cfg, k)}" for k in sorted(_schema(type(cfg)))]

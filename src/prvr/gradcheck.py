@@ -12,8 +12,9 @@ import numpy as np
 from . import autodiff as ad
 from .ambiguity import (Thresholds, UncertaintyTables, detect_frame_ambiguity,
                         detect_video_ambiguity, pair_uncertainties)
+from .config import TrainConfig
 from .encoder import EncoderDims, EncoderParams, collect_tape, wrap_params
-from .losses import LossConfig, grand_total, loss_frame, loss_video
+from .losses import grand_total, loss_frame, loss_video
 from .trainer import _forward_batch
 
 FD_STEP = 1e-4
@@ -48,11 +49,11 @@ def _random_instance(seed):
                      tau_u=float(np.median(u[off])))
     vsets = detect_video_ambiguity(pairs, scores, best, tables, thr)
     fsets = detect_frame_ambiguity(pairs, frame_sims, tables, thr)
-    lcfg = LossConfig()
+    cfg = TrainConfig()
 
     def build_loss(tensors):
         f, s, _ = _forward_batch(tensors, dims, text, video, pairs)
-        return grand_total(loss_video(s, vsets, lcfg), loss_frame(f, fsets, lcfg))
+        return grand_total(loss_video(s, vsets, cfg), loss_frame(f, fsets, cfg))
 
     return params, build_loss
 

@@ -13,41 +13,22 @@ identity gather of the (b, b) scores, reduced per query and per video;
 the frame level gathers each pair's own frames and the batch queries at
 its best frame. Warmup is the video objective with ambiguous sets forced
 empty. Exponentials use raw cosine scores; empty sets add exact zeros.
+The margins and lambda_nce are TrainConfig fields, checked by its validate.
 """
 
-import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .ambiguity import AmbiguitySets, FrameSets
-from .errors import ConfigError
+from .ambiguity import AmbiguitySets, FrameSets, batch_slots
+from .config import TrainConfig
 
 __all__ = [
-    "LossConfig", "LossBreakdown", "loss_nce_slots",
+    "LossBreakdown", "loss_nce_slots",
     "loss_triplet", "loss_video", "loss_frame", "loss_warmup",
     "forced_negative_sets", "grand_total",
 ]
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    margin_m: float = 0.2
-    margin_ma: float = 0.1
-    lambda_nce: float = 0.02
-
-    def validate(self):
-        for f in fields(self):
-            if not math.isfinite(getattr(self, f.name)):
-                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
-        if self.margin_m < 0 or self.margin_ma < 0:
-            raise ConfigError("margins must be nonnegative")
-        if not self.margin_ma < self.margin_m:
-            raise ConfigError(
-                f"margin_ma ({self.margin_ma}) must be smaller than margin_m ({self.margin_m})")
-        if self.lambda_nce <= 0:
-            raise ConfigError("lambda_nce must be positive")
 
 
 @dataclass
@@ -74,7 +55,7 @@ def _contrast(e_pos, e, amb, neg, axis):
     return ad.sub(ad.log(den), ad.log(num))
 
 
-def _objective(flat, anchors, gathers, cfg: LossConfig):
+def _objective(flat, anchors, gathers, cfg: TrainConfig):
     """The one ARL body over a level's flat score vector: the (b,)
     contrastive losses of every direction, in order (`_nce`), and the
     ambiguous (margin_ma) and negative (margin_m) triplet hinges over all
@@ -148,7 +129,7 @@ def loss_triplet(scores, mask, margin):
     return _hinge(*_video_level(scores, mask, mask), 0, margin)
 
 
-def loss_video(scores, sets: AmbiguitySets, cfg: LossConfig):
+def loss_video(scores, sets: AmbiguitySets, cfg: TrainConfig):
     """Combined video-level objective; returns a dict of components."""
     (t2v, v2t), trip_a, trip_n = _objective(*_video_level(scores, sets.amb, sets.neg), cfg)
     nce_t2v, nce_v2t = ad.reduce_mean(t2v), ad.reduce_mean(v2t)
@@ -157,7 +138,7 @@ def loss_video(scores, sets: AmbiguitySets, cfg: LossConfig):
             "trip_a": trip_a, "trip_n": trip_n, "total": total}
 
 
-def loss_frame(frame_sims, frames: FrameSets, cfg: LossConfig):
+def loss_frame(frame_sims, frames: FrameSets, cfg: TrainConfig):
     """Frame-level objective over a (b, b, L_v) cosine tensor.
 
     Per pair p the anchor is its best frame k^; the frames of p's video
@@ -185,12 +166,11 @@ def loss_frame(frame_sims, frames: FrameSets, cfg: LossConfig):
 
 def forced_negative_sets(batch) -> AmbiguitySets:
     """Video-level sets with every non-positive slot treated as negative."""
-    v_idx = np.asarray([v for _, v in batch])
-    pos = v_idx[:, None] == v_idx[None, :]
+    pos = batch_slots(batch)[2]
     return AmbiguitySets(pos=pos, amb=np.zeros_like(pos))
 
 
-def loss_warmup(scores, batch, cfg: LossConfig):
+def loss_warmup(scores, batch, cfg: TrainConfig):
     """Warmup objective: the video objective with ambiguity forced empty."""
     return loss_video(scores, forced_negative_sets(batch), cfg)
 

@@ -128,8 +128,8 @@ def _update(branch: BranchState, wrapped, frame_sims, scores, sets, cfg: TrainCo
     """The per-branch update body shared by step and train: loss on `sets`
     from the branch's forward, finiteness check, tape, Adam step."""
     video_sets, frame_sets = sets
-    video_parts = loss_video(scores, video_sets, cfg.loss)
-    frame_parts = (loss_frame(frame_sims, frame_sets, cfg.loss)
+    video_parts = loss_video(scores, video_sets, cfg)
+    frame_parts = (loss_frame(frame_sims, frame_sets, cfg)
                    if frame_sets is not None else {"total": 0.0})
     total = grand_total(video_parts, frame_parts)
     if not np.isfinite(ad.val(total)):

@@ -22,8 +22,8 @@ from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.encoder import EncoderDims, EncoderParams, encode_text, encode_video
 from prvr.evaluation import audit, evaluate, fused_pair_scores, recall_from_scores
 from prvr.gradcheck import run_suite
-from prvr.losses import (LossConfig, forced_negative_sets, loss_nce_slots,
-                         loss_triplet, loss_video, loss_warmup)
+from prvr.losses import (forced_negative_sets, loss_nce_slots, loss_triplet, loss_video,
+                         loss_warmup)
 from prvr.similarity import CorpusSimilarityMap, build_corpus_map
 from prvr.trainer import TrainConfig, train
 
@@ -107,7 +107,7 @@ def test_accept_03_loss_degeneracy():
             worst = max(worst, abs(t2v[i] - reference_single_positive(scores, i, "row")))
             worst = max(worst, abs(v2t[i] - reference_single_positive(scores, i, "col")))
         assert loss_triplet(scores, sets.amb, 0.1) == 0.0
-        cfg = LossConfig(**EXP_LOSS)
+        cfg = TrainConfig(**EXP_LOSS)
         w = loss_warmup(scores, batch, cfg)
         v = loss_video(scores, sets, cfg)
         assert w["total"] == v["total"]
@@ -199,8 +199,7 @@ def experiment():
         test_corpus = generate_synthetic(spec, split="test")
         corpora[seed] = corpus
         for name, flags in variants.items():
-            cfg = TrainConfig(seed=seed, loss=LossConfig(**EXP_LOSS),
-                              **EXP_TRAIN, **flags)
+            cfg = TrainConfig(seed=seed, **EXP_LOSS, **EXP_TRAIN, **flags)
             t0 = time.time()
             state, _ = train(corpus, cfg)
             timings[name] += time.time() - t0

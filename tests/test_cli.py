@@ -211,6 +211,41 @@ def test_rejected_train_rerun_keeps_earlier_run(tmp_path, spec_file, train_file,
     assert _snapshot(run) == earlier
 
 
+@pytest.mark.parametrize("split, sets, what", (
+    ("test", [], "training requires a train-split corpus"),
+    ("train", ["--set", "batch_size=64"], "batch_size 64")), ids=("test-split", "batch-size"))
+def test_rejected_train_leaves_no_new_directory(tmp_path, spec_file, train_file, capsys,
+                                                split, sets, what):
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path,
+                 "--split", split]) == 0
+    capsys.readouterr()
+    run = tmp_path / "newrun" / "nested"
+    assert main(["train", "--corpus", corpus_path, "--config", train_file,
+                 "--out", str(run)] + sets) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: config-error:") and what in err[0]
+    assert not (tmp_path / "newrun").exists()
+
+
+def test_train_out_naming_a_file_exits_3_before_training(tmp_path, spec_file, train_file,
+                                                         capsys, monkeypatch):
+    import prvr.cli as cli
+
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    capsys.readouterr()
+    out = tmp_path / "run"
+    out.write_text("not a directory\n")
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    assert main(["train", "--corpus", corpus_path, "--config", train_file,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"prvr: config-error: --out is not a directory: {out}"]
+    assert trained == [] and out.read_text() == "not a directory\n"
+
+
 def _checkpoint_and_corpus(tmp_path, spec_file, train_file, corpus_overrides=()):
     """An untrained checkpoint for the spec's dims, and a corpus of the spec."""
     from prvr.config import parse_kv_file, train_config_from
@@ -251,6 +286,34 @@ def test_version_1_checkpoint_exits_3(tmp_path, spec_file, train_file, capsys):
         fh.write(data)
     _evaluate_fails(tmp_path, ckpt, corpus_path, capsys,
                     "prvr: config-error: version: unsupported value 1")
+
+
+def test_checkpoint_in_earlier_key_order_resumes(tmp_path, spec_file, train_file):
+    # checkpoints written before the loss keys joined TrainConfig list the
+    # sorted training keys first, then the sorted loss keys
+    from prvr.trainer import resume
+
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    data = open(ckpt, "rb").read()
+    block = _config_block(data)
+    lines = block.decode().splitlines()
+    loss_keys = ("lambda_nce", "margin_m", "margin_ma")
+    earlier = ([ln for ln in lines if ln.partition("=")[0] not in loss_keys]
+               + [ln for ln in lines if ln.partition("=")[0] in loss_keys])
+    assert earlier != lines and sorted(earlier) == lines
+    moved = ("\n".join(earlier) + "\n").encode()
+    ckpt_b = str(tmp_path / "earlier.ckpt")
+    with open(ckpt_b, "wb") as fh:
+        fh.write(data[:8] + struct.pack("<I", len(moved)) + moved + data[12 + len(block):])
+    assert resume(ckpt_b).cfg == resume(ckpt).cfg
+
+    reports = []
+    for path in (ckpt, ckpt_b):
+        report = tmp_path / (os.path.basename(path) + ".json")
+        assert main(["evaluate", "--checkpoint", path, "--corpus", corpus_path,
+                     "--out", str(report)]) == 0
+        reports.append(report.read_bytes())
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize("old, new", (

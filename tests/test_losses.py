@@ -8,9 +8,10 @@ import pytest
 from prvr import autodiff as ad
 from prvr.ambiguity import (AmbiguitySets, FrameSets, Thresholds, UncertaintyTables,
                             detect_frame_ambiguity, detect_video_ambiguity)
+from prvr.config import TrainConfig
 from prvr.errors import ConfigError
-from prvr.losses import (LossConfig, forced_negative_sets, grand_total, loss_frame,
-                         loss_nce_slots, loss_triplet, loss_video, loss_warmup)
+from prvr.losses import (forced_negative_sets, grand_total, loss_frame, loss_nce_slots,
+                         loss_triplet, loss_video, loss_warmup)
 
 
 def sets_from_masks(batch, amb):
@@ -91,7 +92,7 @@ def test_loss_nce_single_pair_and_mean_oracle():
     rng = np.random.default_rng(2)
     scores = rng.uniform(-1, 1, size=(5, 5))
     sets = sets_from_masks(distinct_batch(5), rng.random((5, 5)) < 0.4)
-    parts = loss_video(scores, sets, LossConfig())
+    parts = loss_video(scores, sets, TrainConfig())
     t2v, v2t = loss_nce_slots(scores, sets)
     assert t2v.shape == v2t.shape == (5,)
     assert parts["nce_t2v"] == pytest.approx(np.mean(t2v), abs=1e-12)
@@ -99,7 +100,7 @@ def test_loss_nce_single_pair_and_mean_oracle():
 
     one = np.array([[0.4, 0.1], [0.0, 0.6]])
     sets1 = forced_negative_sets(distinct_batch(2))
-    parts1 = loss_video(one, sets1, LossConfig())
+    parts1 = loss_video(one, sets1, TrainConfig())
     t, v = loss_nce_slots(one, sets1)
     assert parts1["nce_t2v"] + parts1["nce_v2t"] == pytest.approx(np.mean(t + v), abs=1e-12)
 
@@ -196,7 +197,7 @@ def test_triplet_uses_hardest_member():
 
 def test_loss_video_recomposes_from_components():
     rng = np.random.default_rng(7)
-    cfg = LossConfig(margin_m=0.2, margin_ma=0.1, lambda_nce=0.05)
+    cfg = TrainConfig(margin_m=0.2, margin_ma=0.1, lambda_nce=0.05)
     scores = rng.uniform(-1, 1, size=(5, 5))
     sets = sets_from_masks(distinct_batch(5), rng.random((5, 5)) < 0.3)
     parts = loss_video(scores, sets, cfg)
@@ -209,14 +210,14 @@ def test_loss_video_lambda_weighting_edges():
     rng = np.random.default_rng(8)
     scores = rng.uniform(-1, 1, size=(4, 4))
     sets = sets_from_masks(distinct_batch(4), rng.random((4, 4)) < 0.4)
-    tiny = LossConfig(lambda_nce=1e-12)
+    tiny = TrainConfig(lambda_nce=1e-12)
     parts = loss_video(scores, sets, tiny)
     assert parts["total"] == pytest.approx(parts["trip_a"] + parts["trip_n"], abs=1e-9)
 
 
 def test_nonnegativity_of_all_components():
     rng = np.random.default_rng(9)
-    cfg = LossConfig()
+    cfg = TrainConfig()
     for _ in range(20):
         b = int(rng.integers(2, 6))
         scores = rng.uniform(-1, 1, size=(b, b))
@@ -240,7 +241,7 @@ def test_single_frame_video_frame_loss_zero():
     rng = np.random.default_rng(10)
     frame_sims = rng.uniform(-1, 1, size=(3, 3, 1))
     fsets = make_frame_sets(distinct_batch(3), frame_sims)
-    parts = loss_frame(frame_sims, fsets, LossConfig())
+    parts = loss_frame(frame_sims, fsets, TrainConfig())
     assert parts["total"] == 0.0
 
 
@@ -249,7 +250,7 @@ def test_saturating_thresholds_reduce_to_standard_contrastive_over_frames():
     b, l_v = 3, 4
     frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
     fsets = make_frame_sets(distinct_batch(b), frame_sims, tau_s=2.0, tau_u=2.0)
-    cfg = LossConfig(lambda_nce=1.0)
+    cfg = TrainConfig(lambda_nce=1.0)
     parts = loss_frame(frame_sims, fsets, cfg)
     # reference: per pair, t2f over frames + f2t over queries, no ambiguity
     want = 0.0
@@ -291,7 +292,7 @@ def test_frame_loss_from_brute_force_sets_equals_pipeline_sets():
         negq.append([x for x in range(b) if x != p and x not in aq])
     manual = frame_sets_from_lists(best, ambf, negf, ambq, negq, l_v)
 
-    cfg = LossConfig()
+    cfg = TrainConfig()
     a = loss_frame(frame_sims, fsets, cfg)
     m = loss_frame(frame_sims, manual, cfg)
     assert a["total"] == pytest.approx(m["total"], abs=1e-15)
@@ -301,7 +302,7 @@ def test_frame_loss_from_brute_force_sets_equals_pipeline_sets():
 
 def test_warmup_equals_forced_empty_video_loss():
     rng = np.random.default_rng(13)
-    cfg = LossConfig()
+    cfg = TrainConfig()
     batch = distinct_batch(4)
     scores = rng.uniform(-1, 1, size=(4, 4))
     w = loss_warmup(scores, batch, cfg)
@@ -312,7 +313,7 @@ def test_warmup_equals_forced_empty_video_loss():
 
 def test_warmup_batch_of_one_is_zero():
     scores = np.array([[0.5]])
-    parts = loss_warmup(scores, [(0, 0)], LossConfig())
+    parts = loss_warmup(scores, [(0, 0)], TrainConfig())
     assert parts["total"] == 0.0
 
 
@@ -322,7 +323,7 @@ def test_random_batch_warmup_matches_forced_empty_oracle():
         b = int(rng.integers(2, 6))
         batch = [(i, int(rng.integers(0, 3))) for i in range(b)]
         scores = rng.uniform(-1, 1, size=(b, b))
-        cfg = LossConfig()
+        cfg = TrainConfig()
         w = loss_warmup(scores, batch, cfg)
         v = loss_video(scores, forced_negative_sets(batch), cfg)
         assert w["total"] == v["total"]
@@ -330,16 +331,16 @@ def test_random_batch_warmup_matches_forced_empty_oracle():
 
 def test_margin_hierarchy_enforced():
     with pytest.raises(ConfigError):
-        LossConfig(margin_m=0.1, margin_ma=0.2).validate()
+        TrainConfig(margin_m=0.1, margin_ma=0.2).validate()
     with pytest.raises(ConfigError):
-        LossConfig(margin_m=0.1, margin_ma=0.1).validate()
-    LossConfig(margin_m=0.2, margin_ma=0.1).validate()
+        TrainConfig(margin_m=0.1, margin_ma=0.1).validate()
+    TrainConfig(margin_m=0.2, margin_ma=0.1).validate()
 
 
 def test_grand_total_is_sum_of_levels():
     rng = np.random.default_rng(15)
     b, l_v = 3, 4
-    cfg = LossConfig()
+    cfg = TrainConfig()
     scores = rng.uniform(-1, 1, size=(b, b))
     frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
     sets = sets_from_masks(distinct_batch(b), rng.random((b, b)) < 0.5)
@@ -394,7 +395,7 @@ def _random_frame_case(rng, regime, l_v=None):
 
 def test_loss_frame_matches_loop_oracle_in_value_and_gradient():
     rng = np.random.default_rng(16)
-    cfg = LossConfig(lambda_nce=0.5)
+    cfg = TrainConfig(lambda_nce=0.5)
     seen = set()
     for trial in range(90):
         regime = _REGIMES[trial % 3]
@@ -417,7 +418,7 @@ def test_loss_frame_hand_built_lists_match_detected_masks():
     # index lists from the brute-force detection oracle, made into masks
     # one cell at a time, equal the detected masks and give the same loss
     rng = np.random.default_rng(17)
-    cfg = LossConfig()
+    cfg = TrainConfig()
     for regime in _REGIMES:
         batch, sims, fsets, tables, thr = _random_frame_case(rng, regime, l_v=4)
         b, _, l_v = sims.shape
@@ -470,7 +471,7 @@ def test_levels_equal_two_form_reference_bitwise(regime):
     # objective's and the gather-form frame objective's exp nodes, so
     # values and gradients match to the last bit
     rng = np.random.default_rng(19)
-    cfg = LossConfig()
+    cfg = TrainConfig()
     sizes = [2, 2, 3, 5, 8, 32] + [int(rng.integers(2, 33)) for _ in range(24)]
     for trial, b in enumerate(sizes):
         n_v = max(1, b // 2) if trial % 2 else 2 * b    # odd trials repeat videos

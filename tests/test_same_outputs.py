@@ -16,11 +16,21 @@ def test_checkout_against_itself_at_smoke_scale(tmp_path, capsys):
     out = capsys.readouterr().out.strip().splitlines()
     # 4 corpora (file + stdout each) and 6 cases (5 files + 3 stdouts each)
     assert out == ["56 outputs compared: 0 differ, 0 commands failed"]
+    stdouts = ("train.stdout", "evaluate.stdout", "audit.stdout")
     for side in ("a", "b"):
         for name in ("arl-11", "warm-11", "arl-12", "warm-12"):
             run = tmp_path / side / name
-            assert sorted(p.name for p in run.iterdir()) == sorted(same_outputs.RUN_FILES)
+            assert sorted(p.name for p in run.iterdir()) == sorted(same_outputs.RUN_FILES
+                                                                   + stdouts)
         assert (tmp_path / side / "tv-11" / "audit.csv").stat().st_size > 0
+        for seed in same_outputs.SEEDS:
+            corpora = tmp_path / side / f"corpus-{seed}"
+            assert sorted(p.name for p in corpora.iterdir()) == [
+                "test.prvc", "test.stdout", "train.prvc", "train.stdout"]
+    # the kept stdouts are the compared ones, paths masked
+    train_out = (tmp_path / "a" / "arl-11" / "train.stdout").read_text()
+    assert train_out.startswith("config ") and str(tmp_path) not in train_out
+    assert "<work>/arl-11/checkpoint.ckpt" in train_out
     log = (tmp_path / "a" / "arl-11" / "training_log.csv").read_bytes()
     assert log.count(b"\n") == 1 + 2 * 4    # header, one row per branch and epoch
 

@@ -12,7 +12,7 @@ from prvr.encoder import EncoderParams
 from prvr.errors import ConfigError, FormatError, NumericalError
 from prvr.trainer import (AdamState, BranchState, TrainConfig, _epoch_batches, checkpoint,
                           init_state, resume, step, train)
-from prvr.losses import LossConfig, forced_negative_sets
+from prvr.losses import forced_negative_sets
 from prvr.ambiguity import (Thresholds, UncertaintyTables, detect_frame_ambiguity,
                             detect_video_ambiguity)
 
@@ -114,7 +114,7 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         make_cfg(epochs=1, warmup_epochs=2).validate()
     with pytest.raises(ConfigError):
-        TrainConfig(loss=LossConfig(margin_m=0.1, margin_ma=0.3)).validate()
+        TrainConfig(margin_m=0.1, margin_ma=0.3).validate()
 
 
 def test_partial_batch_dropped():
@@ -147,7 +147,7 @@ def test_step_updates_params_and_reports_breakdown():
     bd, _ = step(corpus, pairs, (forced_negative_sets(pairs), None), state.theta, cfg)
     assert params_bytes(state.theta) != before
     assert bd.video_total == pytest.approx(
-        cfg.loss.lambda_nce * (bd.nce_t2v + bd.nce_v2t) + bd.trip_a + bd.trip_n, abs=1e-12)
+        cfg.lambda_nce * (bd.nce_t2v + bd.nce_v2t) + bd.trip_a + bd.trip_n, abs=1e-12)
 
 
 def test_step_gradient_matches_finite_differences_two_pair_batch():
@@ -168,7 +168,7 @@ def test_step_gradient_matches_finite_differences_two_pair_batch():
 
     def loss_at(tensors):
         _, scores, _ = _forward_batch(tensors, frozen.dims, text64, video64, pairs)
-        return float(ad.val(loss_video(scores, sets[0], cfg.loss)["total"]))
+        return float(ad.val(loss_video(scores, sets[0], cfg)["total"]))
 
     rng = np.random.default_rng(0)
     h = 1e-5
@@ -333,13 +333,13 @@ def test_nonfinite_loss_in_train_names_epoch_and_batch(monkeypatch, loss_name, e
 _NONDEFAULT_CFG = TrainConfig(
     epochs=7, batch_size=5, warmup_epochs=2, learning_rate=0.0005, seed=-3,
     cross_model=False, video_lad=False, frame_lad=False, embed_dim=6,
-    loss=LossConfig(margin_m=0.3, margin_ma=0.05, lambda_nce=0.5))
+    margin_m=0.3, margin_ma=0.05, lambda_nce=0.5)
 
-# sorted training keys, then sorted loss keys
+# every key, in one sorted order
 _NONDEFAULT_BLOB = (
     b"batch_size=5\ncross_model=False\nembed_dim=6\nepochs=7\nframe_lad=False\n"
-    b"learning_rate=0.0005\nseed=-3\nvideo_lad=False\nwarmup_epochs=2\n"
-    b"lambda_nce=0.5\nmargin_m=0.3\nmargin_ma=0.05\n")
+    b"lambda_nce=0.5\nlearning_rate=0.0005\nmargin_m=0.3\nmargin_ma=0.05\nseed=-3\n"
+    b"video_lad=False\nwarmup_epochs=2\n")
 
 
 def _config_block(data):
@@ -360,12 +360,10 @@ def test_config_file_round_trips_through_checkpoint(tmp_path):
     cfg_file.write_text(_NONDEFAULT_BLOB.decode().replace("=", " = "))
     cfg = train_config_from(parse_kv_file(cfg_file))
     assert cfg == _NONDEFAULT_CFG
-    # every field, loss fields included, differs from its default
+    # every field differs from its default
     default = TrainConfig()
     for f in fields(TrainConfig):
         assert getattr(cfg, f.name) != getattr(default, f.name), f.name
-    for f in fields(LossConfig):
-        assert getattr(cfg.loss, f.name) != getattr(default.loss, f.name), f.name
 
     path = tmp_path / "state.ckpt"
     checkpoint(init_state(make_corpus(), cfg), path)

@@ -11,8 +11,10 @@ the full-ARL config at seed 11: tv (frame_lad=false cross_model=false) and
 frame-only (video_lad=false). --smoke swaps in the ACCEPT-10 scale configs.
 
 Every output file is compared byte for byte, and every command's stdout
-with the checkout and work paths masked. Exit 0 when all are equal, 1 on
-any difference or failed command, 2 on bad arguments.
+with the checkout and work paths masked. Each masked stdout is also
+written to `<case>/<command>.stdout` beside the case's outputs, so with
+--work DIR both are kept under DIR/a and DIR/b. Exit 0 when all are
+equal, 1 on any difference or failed command, 2 on bad arguments.
 """
 
 import argparse
@@ -48,7 +50,8 @@ def cases(smoke):
 
 def run_checkout(checkout, work, smoke):
     """Run every command of one checkout under `work`; returns
-    {output name: bytes}, stdouts included, and a list of failures."""
+    {output name: bytes}, stdouts included, and a list of failures. Each
+    masked stdout is written to `work/<case>/<command>.stdout`."""
     checkout, work = Path(checkout).resolve(), Path(work).resolve()
     configs = checkout / "perfbench" / "configs"
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"), **ONE_THREAD)
@@ -61,8 +64,11 @@ def run_checkout(checkout, work, smoke):
             failures.append(f"{checkout}: {name} exited {proc.returncode}: "
                             + proc.stderr.decode(errors="replace").strip()[-300:])
         text = proc.stdout.decode(errors="replace")
-        outputs[f"{name}.stdout"] = (text.replace(str(work), "<work>")
-                                     .replace(str(checkout), "<checkout>").encode())
+        masked = text.replace(str(work), "<work>").replace(str(checkout), "<checkout>").encode()
+        outputs[f"{name}.stdout"] = masked
+        path = work / f"{name}.stdout"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(masked)
 
     corpus_cfg = configs / SCALES[smoke][0]
     for seed in SEEDS:
@@ -99,7 +105,7 @@ def main(argv=None):
     parser.add_argument("checkout_a")
     parser.add_argument("checkout_b")
     parser.add_argument("--smoke", action="store_true", help="ACCEPT-10 scale configs")
-    parser.add_argument("--work", help="keep the outputs in this directory")
+    parser.add_argument("--work", help="keep the outputs and stdouts in this directory")
     args = parser.parse_args(argv)
     for checkout in (args.checkout_a, args.checkout_b):
         if not (Path(checkout) / "src" / "prvr").is_dir():
