@@ -1,15 +1,15 @@
 """Minimal reverse-mode autodiff over float64 numpy arrays.
 
-Every op accepts either a `Var` or a plain ndarray and returns a `Var`
-only when at least one input is a `Var`, so the same forward code serves
-both traced (training) and untraced (map building, evaluation) paths
-with identical arithmetic.
+Every op accepts either a `Var` or a plain ndarray and builds its result
+with `node`, which returns a `Var` only when at least one input is a
+`Var`, so the same forward code serves both traced (training) and
+untraced (map building, evaluation) paths with identical arithmetic.
 """
 
 import numpy as np
 
 __all__ = [
-    "Var", "val", "backward",
+    "Var", "val", "backward", "node",
     "add", "sub", "mul", "div", "matmul",
     "exp", "log", "sqrt", "relu", "softmax",
     "reduce_sum", "reduce_mean", "reduce_max",
@@ -43,10 +43,6 @@ def val(x):
     return x.value if isinstance(x, Var) else x
 
 
-def _traced(*xs):
-    return any(isinstance(x, Var) for x in xs)
-
-
 def _unbroadcast(grad, shape):
     """Sum grad down to `shape` after numpy broadcasting."""
     if grad.shape == shape:
@@ -60,143 +56,86 @@ def _unbroadcast(grad, shape):
     return grad
 
 
-def _binary(a, b, out, vjp_a, vjp_b):
+def node(out, *inputs):
+    """`out` itself when no operand is a Var, else a Var of it.
+
+    Each input is an (operand, vjp) pair; each Var operand, in argument
+    order, becomes a parent whose vjp result is summed to its shape.
+    """
     parents = []
-    if isinstance(a, Var):
-        parents.append((a, vjp_a))
-    if isinstance(b, Var):
-        parents.append((b, vjp_b))
-    return Var(out, tuple(parents))
+    for x, vjp in inputs:
+        if isinstance(x, Var):
+            parents.append((x, lambda g, f=vjp, s=x.value.shape: _unbroadcast(f(g), s)))
+    return Var(out, tuple(parents)) if parents else out
 
 
 def add(a, b):
-    av, bv = val(a), val(b)
-    out = av + bv
-    if not _traced(a, b):
-        return out
-    av_shape, bv_shape = np.shape(av), np.shape(bv)
-    return _binary(a, b, out,
-                   lambda g: _unbroadcast(g, av_shape),
-                   lambda g: _unbroadcast(g, bv_shape))
+    return node(val(a) + val(b), (a, lambda g: g), (b, lambda g: g))
 
 
 def sub(a, b):
-    av, bv = val(a), val(b)
-    out = av - bv
-    if not _traced(a, b):
-        return out
-    av_shape, bv_shape = np.shape(av), np.shape(bv)
-    return _binary(a, b, out,
-                   lambda g: _unbroadcast(g, av_shape),
-                   lambda g: _unbroadcast(-g, bv_shape))
+    return node(val(a) - val(b), (a, lambda g: g), (b, lambda g: -g))
 
 
 def mul(a, b):
     av, bv = val(a), val(b)
-    out = av * bv
-    if not _traced(a, b):
-        return out
-    av_shape, bv_shape = np.shape(av), np.shape(bv)
-    return _binary(a, b, out,
-                   lambda g: _unbroadcast(g * bv, av_shape),
-                   lambda g: _unbroadcast(g * av, bv_shape))
+    return node(av * bv, (a, lambda g: g * bv), (b, lambda g: g * av))
 
 
 def div(a, b):
     av, bv = val(a), val(b)
-    out = av / bv
-    if not _traced(a, b):
-        return out
-    av_shape, bv_shape = np.shape(av), np.shape(bv)
-    return _binary(a, b, out,
-                   lambda g: _unbroadcast(g / bv, av_shape),
-                   lambda g: _unbroadcast(-g * av / (bv * bv), bv_shape))
+    return node(av / bv, (a, lambda g: g / bv), (b, lambda g: -g * av / (bv * bv)))
 
 
 def matmul(a, b):
     av, bv = val(a), val(b)
-    out = av @ bv
-    if not _traced(a, b):
-        return out
-
-    def vjp_a(g):
-        ga = g @ np.swapaxes(bv, -1, -2)
-        return _unbroadcast(ga, np.shape(av))
-
-    def vjp_b(g):
-        gb = np.swapaxes(av, -1, -2) @ g
-        return _unbroadcast(gb, np.shape(bv))
-
-    return _binary(a, b, out, vjp_a, vjp_b)
+    return node(av @ bv, (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
+                (b, lambda g: np.swapaxes(av, -1, -2) @ g))
 
 
 def exp(a):
     out = np.exp(val(a))
-    if not _traced(a):
-        return out
-    return Var(out, ((a, lambda g: g * out),))
+    return node(out, (a, lambda g: g * out))
 
 
 def log(a):
     av = val(a)
-    out = np.log(av)
-    if not _traced(a):
-        return out
-    return Var(out, ((a, lambda g: g / av),))
+    return node(np.log(av), (a, lambda g: g / av))
 
 
 def sqrt(a):
     out = np.sqrt(val(a))
-    if not _traced(a):
-        return out
-    return Var(out, ((a, lambda g: g * 0.5 / out),))
+    return node(out, (a, lambda g: g * 0.5 / out))
 
 
 def relu(a):
     av = val(a)
-    out = np.maximum(av, 0.0)
-    if not _traced(a):
-        return out
-    mask = av > 0.0
-    return Var(out, ((a, lambda g: g * mask),))
+    return node(np.maximum(av, 0.0), (a, lambda g: g * (av > 0.0)))
 
 
 def softmax(a, axis=-1):
     av = val(a)
-    shifted = av - np.max(av, axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    e = np.exp(av - np.max(av, axis=axis, keepdims=True))
     out = e / e.sum(axis=axis, keepdims=True)
-    if not _traced(a):
-        return out
-
-    def vjp(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return out * (g - dot)
-
-    return Var(out, ((a, vjp),))
+    return node(out, (a, lambda g: out * (g - (g * out).sum(axis=axis, keepdims=True))))
 
 
 def reduce_sum(a, axis=None, keepdims=False):
     av = val(a)
-    out = av.sum(axis=axis, keepdims=keepdims)
-    if not _traced(a):
-        return out
-    shape = av.shape
 
     def vjp(g):
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shape).copy()
+        return np.broadcast_to(g, av.shape).copy()
 
-    return Var(out, ((a, vjp),))
+    return node(av.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def reduce_mean(a, axis=None, keepdims=False):
     av = val(a)
     n = av.size if axis is None else av.shape[axis]
-    s = reduce_sum(a, axis=axis, keepdims=keepdims)
-    return div(s, float(n)) if isinstance(s, Var) else s / float(n)
+    return div(reduce_sum(a, axis=axis, keepdims=keepdims), float(n))
 
 
 def reduce_max(a, axis):
@@ -204,8 +143,6 @@ def reduce_max(a, axis):
     av = val(a)
     idx = np.argmax(av, axis=axis)
     out = np.take_along_axis(av, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
-    if not _traced(a):
-        return out, idx
 
     def vjp(g):
         grad = np.zeros_like(av)
@@ -213,57 +150,45 @@ def reduce_max(a, axis):
                           np.expand_dims(g, axis), axis=axis)
         return grad
 
-    return Var(out, ((a, vjp),)), idx
+    return node(out, (a, vjp)), idx
 
 
 def reshape(a, shape):
     av = val(a)
-    out = av.reshape(shape)
-    if not _traced(a):
-        return out
-    old = av.shape
-    return Var(out, ((a, lambda g: g.reshape(old)),))
+    return node(av.reshape(shape), (a, lambda g: g.reshape(av.shape)))
 
 
 def transpose(a, axes):
-    av = val(a)
-    out = np.transpose(av, axes)
-    if not _traced(a):
-        return out
-    inv = np.argsort(axes)
-    return Var(out, ((a, lambda g: np.transpose(g, inv)),))
+    return node(np.transpose(val(a), axes),
+                (a, lambda g: np.transpose(g, np.argsort(axes))))
 
 
 def take(a, indices, axis=0):
     """Gather along one axis with integer indices (scatter-add VJP)."""
     av = val(a)
     indices = np.asarray(indices)
-    out = np.take(av, indices, axis=axis)
-    if not _traced(a):
-        return out
-    shape = av.shape
 
     def vjp(g):
-        grad = np.zeros(shape, dtype=np.float64)
+        grad = np.zeros(av.shape, dtype=np.float64)
         np.add.at(grad, (slice(None),) * axis + (indices,), g)
         return grad
 
-    return Var(out, ((a, vjp),))
+    return node(np.take(av, indices, axis=axis), (a, vjp))
 
 
 def _topo_order(root):
     order, seen = [], set()
     work = [(root, False)]
     while work:
-        node, expanded = work.pop()
+        v, expanded = work.pop()
         if expanded:
-            order.append(node)
+            order.append(v)
             continue
-        if id(node) in seen:
+        if id(v) in seen:
             continue
-        seen.add(id(node))
-        work.append((node, True))
-        for parent, _ in node.parents:
+        seen.add(id(v))
+        work.append((v, True))
+        for parent, _ in v.parents:
             if id(parent) not in seen:
                 work.append((parent, False))
     return order
@@ -277,15 +202,11 @@ def backward(root):
     if np.shape(root.value) != ():
         raise ValueError("backward expects a scalar root")
     grads = {id(root): np.ones((), dtype=np.float64)}
-    for node in reversed(_topo_order(root)):
-        g = grads.get(id(node))
+    for v in reversed(_topo_order(root)):
+        g = grads.get(id(v))
         if g is None:
             continue
-        for parent, vjp in node.parents:
-            contrib = vjp(g)
-            pid = id(parent)
-            if pid in grads:
-                grads[pid] = grads[pid] + contrib
-            else:
-                grads[pid] = contrib
+        for parent, vjp in v.parents:
+            prev = grads.get(id(parent))
+            grads[id(parent)] = vjp(g) if prev is None else prev + vjp(g)
     return grads

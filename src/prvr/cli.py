@@ -41,7 +41,16 @@ def _require_file(path, what):
         raise ConfigError(f"{what} not found: {path}")
 
 
+def _check_out_file(out):
+    """Fail before any work when the file `out` cannot be written."""
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise OSError(f"--out's parent is not a directory: {out}")
+    if os.path.isdir(out):
+        raise OSError(f"--out is a directory: {out}")
+
+
 def cmd_gen_corpus(args):
+    _check_out_file(args.out)
     _require_file(args.spec, "spec file")
     entries = apply_overrides(parse_kv_file(args.spec), args.set)
     spec = corpus_spec_from(entries)
@@ -55,6 +64,12 @@ def cmd_gen_corpus(args):
 
 
 def cmd_train(args):
+    # --out, or else its nearest existing ancestor, must be a directory
+    path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out is not a directory: {args.out}")
     _require_file(args.corpus, "corpus file")
     _require_file(args.config, "config file")
     entries = apply_overrides(parse_kv_file(args.config), args.set)
@@ -62,8 +77,6 @@ def cmd_train(args):
     corpus = read_corpus(args.corpus)
     lines = resolved_lines(cfg)
     _print_resolved(lines)
-    if os.path.exists(args.out) and not os.path.isdir(args.out):
-        raise ConfigError(f"--out is not a directory: {args.out}")
 
     # --out and its files are written after train returns, so a rejected
     # run leaves no new directory, and an earlier run's files consistent
@@ -97,6 +110,7 @@ def _load_for_scoring(args):
 
 
 def cmd_evaluate(args):
+    _check_out_file(args.out)
     state, corpus = _load_for_scoring(args)
     report = evaluate(state, corpus)
     payload = {f"r{k}": report.r_at[k] for k in sorted(report.r_at)}
@@ -109,6 +123,7 @@ def cmd_evaluate(args):
 
 
 def cmd_audit(args):
+    _check_out_file(args.out)
     state, corpus = _load_for_scoring(args)
     report = audit(state, corpus)
     with _atomic_open(args.out, newline="") as fh:

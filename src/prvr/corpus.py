@@ -305,6 +305,8 @@ def read_corpus(path) -> FeatureCorpus:
             raise FormatError(f"magic: expected {MAGIC!r}, got {magic!r}")
         if version != VERSION:
             raise FormatError(f"version: unsupported value {version}")
+        if flags & ~3:
+            raise FormatError(f"flags: undefined bits {flags & ~3:#x}")
         for name, v in (("N_q", n_q), ("N_v", n_v), ("L_q", l_q),
                         ("L_v", l_v), ("d_t", d_t), ("d_v", d_v)):
             if v == 0:

@@ -215,13 +215,7 @@ def collect_tape(wrapped: dict, loss) -> dict:
     grads = ad.backward(loss)
     tape = {}
     for name, var in wrapped.items():
-        g = grads.get(id(var))
-        if g is None:
-            g = np.zeros_like(var.value)
-        else:
-            g = np.asarray(g, dtype=np.float64)
-            if g.shape != var.value.shape:  # scalar params
-                g = g.reshape(var.value.shape)
+        g = np.asarray(grads.get(id(var), np.zeros_like(var.value)), dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"gradient for {name} is non-finite")
         tape[name] = g

@@ -67,8 +67,8 @@ def check_instance(seed) -> float:
     max_rel = 0.0
     base = {k: v.copy() for k, v in params.tensors.items()}
     for name in params.names():
-        flat = base[name].reshape(-1) if base[name].shape else base[name].reshape(1)
-        g_flat = tape[name].reshape(-1) if tape[name].shape else tape[name].reshape(1)
+        flat = base[name].reshape(-1)
+        g_flat = tape[name].reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]
             flat[idx] = orig + FD_STEP

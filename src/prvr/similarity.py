@@ -92,12 +92,8 @@ def _unit_dots(qu, fu):
             prod = buf[:len(q) * f.size].reshape(len(q), *f.shape)
             np.multiply(q, f, out=prod)
             prod.sum(axis=-1, out=out[x0:x0 + tq, y0:y0 + tv])
-    parents = []
-    if isinstance(qu, ad.Var):
-        parents.append((qu, lambda g: np.einsum("xyk,ykd->xd", g, fv, optimize=False)))
-    if isinstance(fu, ad.Var):
-        parents.append((fu, lambda g: np.einsum("xyk,xd->ykd", g, qv, optimize=False)))
-    return ad.Var(out, tuple(parents)) if parents else out
+    return ad.node(out, (qu, lambda g: np.einsum("xyk,ykd->xd", g, fv, optimize=False)),
+                   (fu, lambda g: np.einsum("xyk,xd->ykd", g, qv, optimize=False)))
 
 
 def cosine_pairs(q_emb, frame_emb):

@@ -152,3 +152,65 @@ def test_gradient_accumulates_over_reuse():
     out = ad.add(ad.mul(v, v), ad.mul(v, 3.0))  # x^2 + 3x -> 2x + 3 = 7
     grads = ad.backward(out)
     assert grads[id(v)] == pytest.approx(7.0)
+
+
+# op -> (call on operands, operand shape tuples); the two-operand ops pair a
+# 0-d and a (1, n) operand with an (m, n) one, each side traced in turn
+_BROADCAST = [((), (3, 4)), ((1, 4), (3, 4)), ((3, 4), ()), ((3, 4), (1, 4))]
+_UNARY = [((),), ((1, 4),), ((3, 4),)]
+_CONTRACT = {
+    "add": (ad.add, _BROADCAST),
+    "sub": (ad.sub, _BROADCAST),
+    "mul": (ad.mul, _BROADCAST),
+    "div": (ad.div, _BROADCAST),
+    "matmul": (ad.matmul, [((1, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5))]),
+    "exp": (ad.exp, _UNARY),
+    "log": (ad.log, _UNARY),
+    "sqrt": (ad.sqrt, _UNARY),
+    "relu": (ad.relu, _UNARY),
+    "softmax": (ad.softmax, _UNARY[1:]),
+    "reduce_sum": (ad.reduce_sum, _UNARY),
+    "reduce_mean": (lambda a: ad.reduce_mean(a, axis=1, keepdims=True), _UNARY[1:]),
+    "reduce_max": (lambda a: ad.reduce_max(a, axis=1)[0], _UNARY[1:]),
+    "reshape": (lambda a: ad.reshape(a, (-1,)), _UNARY),
+    "transpose": (lambda a: ad.transpose(a, (1, 0)), _UNARY[1:]),
+    "take": (lambda a: ad.take(a, [0, 0, 2], axis=1), _UNARY[1:]),
+}
+
+
+def test_contract_covers_every_op():
+    assert set(_CONTRACT) == set(ad.__all__) - {"Var", "val", "backward", "node"}
+
+
+@pytest.mark.parametrize("name", sorted(_CONTRACT))
+def test_node_contract(name):
+    op, cases = _CONTRACT[name]
+    for shapes in cases:
+        # positive operands keep log, sqrt and div defined
+        xs = [np.abs(rng.normal(size=s)) + 0.5 for s in shapes]
+        plain = op(*xs)
+        assert not isinstance(plain, ad.Var)
+        for i, shape in enumerate(shapes):
+            args = list(xs)
+            args[i] = ad.Var(xs[i])
+            out = op(*args)
+            np.testing.assert_array_equal(out.value, plain)
+            grads = ad.backward(ad.reduce_sum(out))
+            assert np.shape(grads[id(args[i])]) == shape
+        if len(xs) == 2:
+            vs = [ad.Var(x) for x in xs]
+            assert [p for p, _ in op(*vs).parents] == vs
+
+
+def test_node_unbroadcasts_and_keeps_var_order():
+    a, b = ad.Var(np.ones((1, 3))), ad.Var(np.array(2.0))
+    out = np.ones((2, 3))
+    assert ad.node(out, (np.ones(3), lambda g: g), (1.5, lambda g: g)) is out
+    v = ad.node(out, (b, lambda g: g), (np.ones(3), lambda g: g), (a, lambda g: 2.0 * g))
+    assert isinstance(v, ad.Var)
+    np.testing.assert_array_equal(v.value, out)
+    assert [p for p, _ in v.parents] == [b, a]
+    g = np.arange(6.0).reshape(2, 3)
+    (_, vjp_b), (_, vjp_a) = v.parents
+    assert vjp_b(g).shape == () and float(vjp_b(g)) == 15.0
+    np.testing.assert_array_equal(vjp_a(g), [[6.0, 10.0, 14.0]])

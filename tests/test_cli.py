@@ -246,6 +246,68 @@ def test_train_out_naming_a_file_exits_3_before_training(tmp_path, spec_file, tr
     assert trained == [] and out.read_text() == "not a directory\n"
 
 
+def test_train_out_below_a_file_exits_3_before_training(tmp_path, spec_file, train_file,
+                                                        capsys, monkeypatch):
+    import prvr.cli as cli
+
+    corpus_path = str(tmp_path / "c.prvc")
+    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+    capsys.readouterr()
+    (tmp_path / "afile").write_text("not a directory\n")
+    out = tmp_path / "afile" / "run"
+    trained = []
+    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
+    assert main(["train", "--corpus", corpus_path, "--config", train_file,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"prvr: config-error: --out is not a directory: {out}"]
+    assert trained == []
+
+
+# an --out of evaluate, audit or gen-corpus that cannot be written, and its message
+_BAD_FILE_OUTS = [
+    pytest.param("missing-dir/x", "--out's parent is not a directory", id="missing-parent"),
+    pytest.param("afile/x", "--out's parent is not a directory", id="below-a-file"),
+    pytest.param("adir", "--out is a directory", id="a-directory"),
+]
+
+
+def _bad_file_out(tmp_path, rel):
+    (tmp_path / "afile").write_text("not a directory\n")
+    (tmp_path / "adir").mkdir()
+    return tmp_path / rel
+
+
+@pytest.mark.parametrize("rel,message", _BAD_FILE_OUTS)
+def test_gen_corpus_bad_out_exits_3_before_generating(tmp_path, spec_file, capsys,
+                                                      monkeypatch, rel, message):
+    import prvr.cli as cli
+
+    out = _bad_file_out(tmp_path, rel)
+    generated = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda *a, **kw: generated.append(a))
+    assert main(["gen-corpus", "--spec", spec_file, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"prvr: io-error: {message}: {out}"]
+    assert generated == []
+
+
+def test_corpus_with_undefined_flag_bits_exits_3(tmp_path, spec_file, train_file, capsys):
+    corpus_path = tmp_path / "c.prvc"
+    assert main(["gen-corpus", "--spec", spec_file, "--out", str(corpus_path)]) == 0
+    data = bytearray(corpus_path.read_bytes())
+    (flags,) = struct.unpack_from("<I", data, 32)
+    assert flags == 2                       # train split, planted list present
+    struct.pack_into("<I", data, 32, flags | 0x80000004)
+    corpus_path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["train", "--corpus", str(corpus_path), "--config", train_file,
+                 "--out", str(tmp_path / "run")]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["prvr: config-error: flags: undefined bits 0x80000004"]
+    assert not (tmp_path / "run").exists()
+
+
 def _checkpoint_and_corpus(tmp_path, spec_file, train_file, corpus_overrides=()):
     """An untrained checkpoint for the spec's dims, and a corpus of the spec."""
     from prvr.config import parse_kv_file, train_config_from
@@ -371,6 +433,24 @@ def test_unwritable_out_exits_3(tmp_path, spec_file, train_file, capsys):
                  "--out", str(out)]) == 3
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("prvr: io-error:")
+
+
+@pytest.mark.parametrize("command", ["evaluate", "audit"])
+@pytest.mark.parametrize("rel,message", _BAD_FILE_OUTS)
+def test_scoring_bad_out_exits_3_before_scoring(tmp_path, spec_file, train_file, capsys,
+                                                monkeypatch, command, rel, message):
+    import prvr.cli as cli
+
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    out = _bad_file_out(tmp_path, rel)
+    scored = []
+    monkeypatch.setattr(cli, command, lambda *args: scored.append(args))
+    capsys.readouterr()
+    assert main([command, "--checkpoint", ckpt, "--corpus", corpus_path,
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"prvr: io-error: {message}: {out}"]
+    assert scored == []
 
 
 def _fail_json_mid_write(monkeypatch):
