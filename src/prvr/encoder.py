@@ -9,11 +9,13 @@ positional encoding enters the attention queries and keys, never the
 frame tokens. So a frame's embedding depends on its own neighbourhood of
 footage and not on the rest of the video: footage shared by two videos
 encodes alike in both, which is what max-over-frames scoring and the
-ambiguity detection compare. Everything runs in float64; forward
-functions accept plain ndarrays or autodiff Vars, one instance or a
-stack of them along a leading batch axis. Every op works on the last two
-axes (batched matmul, per-row reductions), so an instance's output is
-bitwise the same alone or inside any batch.
+ambiguity detection compare. Everything runs in float64. Forward
+functions take an EncoderParams, whose tensors are arrays or, inside a
+training step, autodiff Vars (wrap_params), and features of one instance
+or a stack of them along a leading batch axis. Every op works on the last
+two axes (batched matmul, per-row reductions), so an instance's output is
+bitwise the same alone or inside any batch. One table, _param_specs,
+declares every tensor's name, shape and init rule.
 """
 
 import functools
@@ -31,19 +33,6 @@ LN_EPS = 1e-5
 # the same content and attending to them averages out per-frame noise.
 VIDEO_ATTN_RADIUS = 1
 
-# Canonical parameter order: drives initialization draws, checkpoint
-# layout, and gradient-tape iteration. Do not reorder.
-_PARAM_ORDER = (
-    "text_proj_w", "text_proj_b",
-    "video_proj_w", "video_proj_b",
-    "pos_text", "pos_video",
-    "attn_text_wq", "attn_text_wk", "attn_text_wv", "attn_text_wo",
-    "attn_text_ln_g", "attn_text_ln_b",
-    "attn_video_wq", "attn_video_wk", "attn_video_wv", "attn_video_wo",
-    "attn_video_ln_g", "attn_video_ln_b",
-    "pool_w", "pool_b",
-)
-
 
 @dataclass(frozen=True)
 class EncoderDims:
@@ -54,67 +43,49 @@ class EncoderDims:
     d: int
 
 
-def _param_shapes(dims: EncoderDims):
+def _param_specs(dims: EncoderDims):
+    """(name, shape, init) of every tensor, in the canonical order that
+    drives the init draws, the checkpoint layout and the gradient tape. Do
+    not reorder. init is the fan-in of a uniform ±1/sqrt(fan-in) draw, or
+    np.ones / np.zeros for the layer-norm gain and bias."""
     d = dims.d
-    shapes = {
-        "text_proj_w": (dims.d_t, d), "text_proj_b": (d,),
-        "video_proj_w": (dims.d_v, d), "video_proj_b": (d,),
-        "pos_text": (dims.l_q, d), "pos_video": (dims.l_v, d),
-        "pool_w": (d,), "pool_b": (),
-    }
-    for branch in ("text", "video"):
-        for m in ("wq", "wk", "wv", "wo"):
-            shapes[f"attn_{branch}_{m}"] = (d, d)
-        shapes[f"attn_{branch}_ln_g"] = (d,)
-        shapes[f"attn_{branch}_ln_b"] = (d,)
-    return shapes
+    specs = [("text_proj_w", (dims.d_t, d), dims.d_t), ("text_proj_b", (d,), dims.d_t),
+             ("video_proj_w", (dims.d_v, d), dims.d_v), ("video_proj_b", (d,), dims.d_v),
+             ("pos_text", (dims.l_q, d), d), ("pos_video", (dims.l_v, d), d)]
+    for side in ("text", "video"):
+        specs += [(f"attn_{side}_{m}", (d, d), d) for m in ("wq", "wk", "wv", "wo")]
+        specs += [(f"attn_{side}_ln_g", (d,), np.ones), (f"attn_{side}_ln_b", (d,), np.zeros)]
+    return specs + [("pool_w", (d,), d), ("pool_b", (), d)]
 
 
-# fan-in used for the uniform init bound of each tensor
-def _fan_in(name, dims: EncoderDims):
-    if name.startswith("text_proj"):
-        return dims.d_t
-    if name.startswith("video_proj"):
-        return dims.d_v
-    return dims.d
-
-
+@dataclass(eq=False)
 class EncoderParams:
-    """All learnable weights of one branch, in canonical order."""
+    """All learnable weights of one branch: its dims and a name -> tensor
+    dict in canonical order. The tensors are float64 arrays, or autodiff
+    Vars of them inside a training step (wrap_params)."""
 
-    def __init__(self, dims: EncoderDims, tensors: dict):
-        self.dims = dims
-        self.tensors = {name: np.asarray(tensors[name], dtype=np.float64)
-                        for name in _PARAM_ORDER}
+    dims: EncoderDims
+    tensors: dict
 
     @classmethod
     def initialize(cls, dims: EncoderDims, seed: int) -> "EncoderParams":
         rng = np.random.default_rng(np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF]))
-        shapes = _param_shapes(dims)
         tensors = {}
-        for name in _PARAM_ORDER:
-            if name.endswith("ln_g"):
-                tensors[name] = np.ones(shapes[name])
-            elif name.endswith("ln_b"):
-                tensors[name] = np.zeros(shapes[name])
+        for name, shape, init in _param_specs(dims):
+            if callable(init):
+                tensors[name] = init(shape)
             else:
-                bound = 1.0 / np.sqrt(_fan_in(name, dims))
-                tensors[name] = rng.uniform(-bound, bound, size=shapes[name])
+                bound = 1.0 / np.sqrt(init)
+                tensors[name] = rng.uniform(-bound, bound, size=shape)
         return cls(dims, tensors)
 
-    def copy(self) -> "EncoderParams":
-        return EncoderParams(self.dims, {k: v.copy() for k, v in self.tensors.items()})
-
     def names(self):
-        return _PARAM_ORDER
-
-    def __getitem__(self, name):
-        return self.tensors[name]
+        return tuple(name for name, _, _ in _param_specs(self.dims))
 
 
-def wrap_params(params: EncoderParams) -> dict:
+def wrap_params(params: EncoderParams) -> EncoderParams:
     """Wrap every parameter tensor in an autodiff Var for one training step."""
-    return {name: ad.Var(params.tensors[name]) for name in params.names()}
+    return EncoderParams(params.dims, {name: ad.Var(t) for name, t in params.tensors.items()})
 
 
 def _layernorm(x, g, b):
@@ -166,29 +137,16 @@ def _encode_tokens(tensors, x, side, dims):
 
 def _as_input(x, tokens, what):
     """float64 input of shape (tokens) or (b, *tokens); other shapes raise."""
-    if not isinstance(x, ad.Var):
-        x = np.asarray(x, dtype=np.float64)
-    shape = np.shape(ad.val(x))
-    if len(shape) not in (2, 3) or shape[-2:] != tokens:
-        raise DimensionError(f"{what}: expected shape {tokens} or (b, *{tokens}), got {shape}")
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-2:] != tokens:
+        raise DimensionError(f"{what}: expected shape {tokens} or (b, *{tokens}), got {x.shape}")
     return x
 
 
-def _resolve(params, dims):
-    if isinstance(params, EncoderParams):
-        return params.tensors, params.dims
-    if dims is None:
-        raise DimensionError("dims required when passing a raw tensor dict")
-    return params, dims
-
-
-def encode_text(params, word_features, dims: EncoderDims = None):
+def encode_text(params: EncoderParams, word_features):
     """Encode word features (L_q, d_t) into a vector (d,), or a batch
-    (b, L_q, d_t) into (b, d).
-
-    params may be an EncoderParams or a dict of autodiff Vars (training).
-    """
-    tensors, dims = _resolve(params, dims)
+    (b, L_q, d_t) into (b, d)."""
+    tensors, dims = params.tensors, params.dims
     x = _as_input(word_features, (dims.l_q, dims.d_t), "word_features")
     h = _encode_tokens(tensors, x, "text", dims)
     scores = ad.add(ad.reduce_sum(ad.mul(h, tensors["pool_w"]), axis=-1), tensors["pool_b"])
@@ -197,24 +155,24 @@ def encode_text(params, word_features, dims: EncoderDims = None):
     return ad.reduce_sum(ad.mul(alpha, h), axis=-2)
 
 
-def encode_video(params, frame_features, dims: EncoderDims = None):
+def encode_video(params: EncoderParams, frame_features):
     """Encode frame features (L_v, d_v) into (L_v, d), or a batch
     (b, L_v, d_v) into (b, L_v, d)."""
-    tensors, dims = _resolve(params, dims)
+    dims = params.dims
     x = _as_input(frame_features, (dims.l_v, dims.d_v), "frame_features")
-    return _encode_tokens(tensors, x, "video", dims)
+    return _encode_tokens(params.tensors, x, "video", dims)
 
 
-def collect_tape(wrapped: dict, loss) -> dict:
+def collect_tape(wrapped: EncoderParams, loss) -> dict:
     """Run backprop from a scalar loss Var and gather per-parameter grads,
-    {name: gradient} with shapes mirroring EncoderParams.
+    {name: gradient} with the shapes of wrapped's tensors.
 
     Parameters not reached by the loss get zero gradients. Non-finite
     gradients abort with the offending tensor's name.
     """
     grads = ad.backward(loss)
     tape = {}
-    for name, var in wrapped.items():
+    for name, var in wrapped.tensors.items():
         g = np.asarray(grads.get(id(var), np.zeros_like(var.value)), dtype=np.float64)
         if not np.all(np.isfinite(g)):
             raise NumericalError(f"gradient for {name} is non-finite")

@@ -42,7 +42,7 @@ def _random_instance(seed):
     )
     # thresholds at the medians so ambiguous, negative, and frame sets
     # are all usually non-empty and every loss path carries gradient
-    frame_sims, scores, best = _forward_batch(params.tensors, dims, text, video, pairs)
+    frame_sims, scores, best = _forward_batch(params, text, video, pairs)
     off = ~np.eye(b, dtype=bool)
     u = pair_uncertainties(tables.u_q, tables.u_v, best)
     thr = Thresholds(tau_s=float(np.median(scores[off])),
@@ -51,8 +51,8 @@ def _random_instance(seed):
     fsets = detect_frame_ambiguity(pairs, frame_sims, tables, thr)
     cfg = TrainConfig()
 
-    def build_loss(tensors):
-        f, s, _ = _forward_batch(tensors, dims, text, video, pairs)
+    def build_loss(p):
+        f, s, _ = _forward_batch(p, text, video, pairs)
         return grand_total(loss_video(s, vsets, cfg), loss_frame(f, fsets, cfg))
 
     return params, build_loss
@@ -65,9 +65,9 @@ def check_instance(seed) -> float:
     tape = collect_tape(wrapped, build_loss(wrapped))
 
     max_rel = 0.0
-    base = {k: v.copy() for k, v in params.tensors.items()}
+    base = EncoderParams(params.dims, {k: v.copy() for k, v in params.tensors.items()})
     for name in params.names():
-        flat = base[name].reshape(-1)
+        flat = base.tensors[name].reshape(-1)
         g_flat = tape[name].reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]

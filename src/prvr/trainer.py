@@ -23,8 +23,8 @@ from . import autodiff as ad
 from .ambiguity import corpus_thresholds, detect_frame_ambiguity, detect_video_ambiguity
 from .config import TrainConfig, resolved_lines, train_config_from_text
 from .corpus import FeatureCorpus, _atomic_open, _read_exact
-from .encoder import (_PARAM_ORDER, EncoderDims, EncoderParams, _param_shapes, collect_tape,
-                      encode_text, encode_video, wrap_params)
+from .encoder import (EncoderDims, EncoderParams, _param_specs, collect_tape, encode_text,
+                      encode_video, wrap_params)
 from .errors import ConfigError, DimensionError, FormatError, NumericalError
 from .losses import (LossBreakdown, breakdown, forced_negative_sets, grand_total,
                      loss_frame, loss_video)
@@ -98,15 +98,16 @@ def check_corpus_dims(state: DualBranchState, corpus: FeatureCorpus) -> None:
                              f"the encoders' {want}")
 
 
-def _forward_batch(params_or_wrapped, dims, text, video, pairs):
+def _forward_batch(params: EncoderParams, text, video, pairs):
     """Batch forward: returns (frame cosine tensor, scores, best frames).
 
+    params holds arrays, or Vars from wrap_params when a tape follows.
     text/video are whole feature arrays; only the rows of the batch are
     gathered (the encoders cast them to float64), and each side is
     encoded in one call.
     """
-    q = encode_text(params_or_wrapped, text[[i for i, _ in pairs]], dims)
-    v = encode_video(params_or_wrapped, video[[j for _, j in pairs]], dims)
+    q = encode_text(params, text[[i for i, _ in pairs]])
+    v = encode_video(params, video[[j for _, j in pairs]])
     frame_sims = cosine_pairs(q, v)
     scores, best = ad.reduce_max(frame_sims, axis=2)
     return frame_sims, scores, best
@@ -147,8 +148,8 @@ def step(corpus: FeatureCorpus, pairs, sets, branch: BranchState, cfg: TrainConf
     per-parameter gradients; the branch's parameters are updated in place.
     """
     wrapped = wrap_params(branch.params)
-    frame_sims, scores, _ = _forward_batch(wrapped, branch.params.dims, corpus.text_features,
-                                           corpus.video_features, pairs)
+    frame_sims, scores, _ = _forward_batch(wrapped, corpus.text_features, corpus.video_features,
+                                           pairs)
     return _update(branch, wrapped, frame_sims, scores, sets, cfg)
 
 
@@ -176,7 +177,6 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
             f"batch_size {cfg.batch_size} exceeds corpus size {corpus.n_q}")
 
     check_corpus_dims(state, corpus)
-    dims = state.theta.params.dims
 
     branches = (state.theta, state.phi)
     log_rows = []
@@ -196,7 +196,7 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
             fwd, detected = [], []
             for branch, (tables, thr) in zip(branches, epoch_ctx):
                 wrapped = wrap_params(branch.params)
-                frame_sims, scores, best = _forward_batch(wrapped, dims, corpus.text_features,
+                frame_sims, scores, best = _forward_batch(wrapped, corpus.text_features,
                                                          corpus.video_features, pairs)
                 fwd.append((wrapped, frame_sims, scores))
                 if lad_active:
@@ -251,10 +251,8 @@ def _write_branch(fh, branch: BranchState):
 
 def _read_branch(fh, dims: EncoderDims) -> BranchState:
     (t,) = struct.unpack("<Q", _read_exact(fh, 8, "adam_t"))
-    shapes = _param_shapes(dims)
     tensors, m, v = {}, {}, {}
-    for name in _PARAM_ORDER:
-        shape = shapes[name]
+    for name, shape, _ in _param_specs(dims):
         out = []
         for part in ("param", "adam_m", "adam_v"):
             data = _read_exact(fh, 8 * math.prod(shape), f"{name}.{part}")

@@ -1,4 +1,7 @@
-"""Encoder forward contracts and the gradient tape."""
+"""Encoder forward contracts, the parameter layout and the gradient tape."""
+
+import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from prvr import autodiff as ad
 from prvr.encoder import (VIDEO_ATTN_RADIUS, EncoderDims, EncoderParams, collect_tape,
                           encode_text, encode_video, wrap_params)
 from prvr.errors import DimensionError, NumericalError
+from prvr.trainer import TrainConfig, checkpoint, init_state, resume
 
 
 def test_forward_deterministic(tiny_params, tiny_dims):
@@ -66,7 +70,8 @@ def test_video_tokens_are_linear_projections_without_position(tiny_dims):
     frames = np.random.default_rng(6).normal(size=(tiny_dims.l_v, tiny_dims.d_v))
     out = encode_video(params, frames)
     np.testing.assert_allclose(
-        out, frames @ params["video_proj_w"] + params["video_proj_b"], atol=1e-12)
+        out, frames @ params.tensors["video_proj_w"] + params.tensors["video_proj_b"],
+        atol=1e-12)
     assert np.any(out < 0)
 
 
@@ -121,7 +126,7 @@ def test_linear_path_gradient_matches_outer_product_form(tiny_dims):
     words = np.abs(rng.normal(size=(tiny_dims.l_q, tiny_dims.d_t)))
 
     wrapped = wrap_params(params)
-    q = encode_text(wrapped, words, tiny_dims)
+    q = encode_text(wrapped, words)
     tape = collect_tape(wrapped, ad.reduce_sum(q))
 
     expected = np.tile(words.mean(axis=0)[:, None], (1, tiny_dims.d))
@@ -138,7 +143,7 @@ def test_constant_loss_gives_zero_gradients(tiny_params):
 def test_nonfinite_gradient_names_tensor(tiny_params, tiny_dims):
     wrapped = wrap_params(tiny_params)
     words = np.random.default_rng(0).normal(size=(tiny_dims.l_q, tiny_dims.d_t))
-    q = encode_text(wrapped, words, tiny_dims)
+    q = encode_text(wrapped, words)
     bad = ad.mul(ad.reduce_sum(q), np.inf)
     with np.errstate(invalid="ignore"):
         with pytest.raises(NumericalError, match="text_proj_w|pos_text|attn|pool"):
@@ -150,12 +155,12 @@ def test_initialization_seeded_and_bounded(tiny_dims):
     b = EncoderParams.initialize(tiny_dims, seed=4)
     c = EncoderParams.initialize(tiny_dims, seed=5)
     for name in a.names():
-        np.testing.assert_array_equal(a[name], b[name])
-    assert any(not np.array_equal(a[name], c[name]) for name in a.names())
+        np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
+    assert any(not np.array_equal(a.tensors[name], c.tensors[name]) for name in a.names())
     bound = 1.0 / np.sqrt(tiny_dims.d_t)
-    assert np.all(np.abs(a["text_proj_w"]) <= bound)
-    np.testing.assert_array_equal(a["attn_text_ln_g"], np.ones(tiny_dims.d))
-    np.testing.assert_array_equal(a["attn_text_ln_b"], np.zeros(tiny_dims.d))
+    assert np.all(np.abs(a.tensors["text_proj_w"]) <= bound)
+    np.testing.assert_array_equal(a.tensors["attn_text_ln_g"], np.ones(tiny_dims.d))
+    np.testing.assert_array_equal(a.tensors["attn_text_ln_b"], np.zeros(tiny_dims.d))
 
 
 def test_end_to_end_gradcheck_small():
@@ -204,15 +209,66 @@ def test_batched_gradients_equal_summed_per_instance_gradients(tiny_params, tiny
         return ad.add(ad.reduce_sum(ad.mul(q, w_q[i])), ad.reduce_sum(ad.mul(v, w_v[i])))
 
     wrapped = wrap_params(tiny_params)
-    batched = collect_tape(wrapped, objective(encode_text(wrapped, words, tiny_dims),
-                                              encode_video(wrapped, frames, tiny_dims)))
+    batched = collect_tape(wrapped, objective(encode_text(wrapped, words),
+                                              encode_video(wrapped, frames)))
     summed = {name: np.zeros_like(g) for name, g in batched.items()}
     for i in range(b):
         wrapped = wrap_params(tiny_params)
-        tape = collect_tape(wrapped, objective(encode_text(wrapped, words[i], tiny_dims),
-                                               encode_video(wrapped, frames[i], tiny_dims), i))
+        tape = collect_tape(wrapped, objective(encode_text(wrapped, words[i]),
+                                               encode_video(wrapped, frames[i]), i))
         for name, g in tape.items():
             summed[name] += g
     for name, g in batched.items():
         assert np.abs(g).max() > 0, name
         np.testing.assert_allclose(g, summed[name], rtol=0, atol=1e-12, err_msg=name)
+
+
+# The parameter layout as recorded constants, so that a change to any name,
+# shape, init draw or checkpoint byte fails here: names in canonical order,
+# then per EncoderDims the shapes in that order and the sha256 of
+# EncoderParams.initialize(dims, seed=2024)'s bytes in that order.
+LAYOUT_NAMES = (
+    "text_proj_w", "text_proj_b", "video_proj_w", "video_proj_b", "pos_text", "pos_video",
+    "attn_text_wq", "attn_text_wk", "attn_text_wv", "attn_text_wo",
+    "attn_text_ln_g", "attn_text_ln_b",
+    "attn_video_wq", "attn_video_wk", "attn_video_wv", "attn_video_wo",
+    "attn_video_ln_g", "attn_video_ln_b",
+    "pool_w", "pool_b",
+)
+LAYOUTS = (
+    (EncoderDims(d_t=5, d_v=6, l_q=3, l_v=4, d=7),
+     ((5, 7), (7,), (6, 7), (7,), (3, 7), (4, 7)) + ((7, 7),) * 4 + ((7,),) * 2
+     + ((7, 7),) * 4 + ((7,),) * 3 + ((),),
+     "0ff1aa2e4f7b325aa54f7c3508ea46c8d72d06c39ca6cb4c3eae90c2b364421d"),
+    (EncoderDims(d_t=32, d_v=32, l_q=6, l_v=16, d=48),
+     ((32, 48), (48,), (32, 48), (48,), (6, 48), (16, 48)) + ((48, 48),) * 4 + ((48,),) * 2
+     + ((48, 48),) * 4 + ((48,),) * 3 + ((),),
+     "294b048fbaf0842db14be9cb55985bf93bbad31a539f34a37b34e8cb60dd178a"),
+)
+# sha256 of the checkpoint bytes after the config block (dims, epoch, both
+# branches' parameters and Adam moments) of init_state(small_corpus,
+# TrainConfig(embed_dim=9, seed=7)).
+INIT_CKPT_PAYLOAD_SHA256 = "eccb39dc978a31501d6ba564e1b29f48cf6a1c2a10248e490aad57973762d977"
+
+
+@pytest.mark.parametrize("dims, shapes, digest", LAYOUTS)
+def test_parameter_layout_and_init_draws_are_pinned(dims, shapes, digest):
+    params = EncoderParams.initialize(dims, seed=2024)
+    assert params.names() == LAYOUT_NAMES
+    assert tuple(params.tensors) == LAYOUT_NAMES
+    assert tuple(params.tensors[n].shape for n in params.names()) == shapes
+    assert all(t.dtype == np.float64 for t in params.tensors.values())
+    blob = b"".join(params.tensors[n].tobytes() for n in params.names())
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_checkpoint_payload_layout_is_pinned(small_corpus, tmp_path):
+    state = init_state(small_corpus, TrainConfig(embed_dim=9, seed=7))
+    path, again = tmp_path / "init.ckpt", tmp_path / "again.ckpt"
+    checkpoint(state, path)
+    data = path.read_bytes()
+    (cfg_len,) = struct.unpack("<I", data[8:12])
+    assert hashlib.sha256(data[12 + cfg_len:]).hexdigest() == INIT_CKPT_PAYLOAD_SHA256
+    # resume reads the same layout back: rewriting what it read is byte-equal
+    checkpoint(resume(path), again)
+    assert again.read_bytes() == data

@@ -1,5 +1,7 @@
 """Recall metrics against an exhaustive ranking oracle, fusion, audit."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ def test_fused_score_average_and_symmetry():
 def test_identical_branches_fuse_to_single_score():
     corpus = make_corpus()
     state = make_state(corpus)
-    state.phi.params = state.theta.params.copy()
+    state.phi.params = copy.deepcopy(state.theta.params)
     q, v = corpus.text_features[1], corpus.video_features[2]
     s, _ = retrieval_score(encode_text(state.theta.params, q),
                            encode_video(state.theta.params, v))

@@ -14,8 +14,9 @@ _spec.loader.exec_module(same_outputs)
 def test_checkout_against_itself_at_smoke_scale(tmp_path, capsys):
     assert same_outputs.main([str(ROOT), str(ROOT), "--smoke", "--work", str(tmp_path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    # 4 corpora (file + stdout each) and 6 cases (5 files + 3 stdouts each)
-    assert out == ["56 outputs compared: 0 differ, 0 commands failed"]
+    # 4 corpora (file + stdout each), 6 cases (5 files + 3 stdouts each) and
+    # the grad-check stdout
+    assert out == ["57 outputs compared: 0 differ, 0 commands failed"]
     stdouts = ("train.stdout", "evaluate.stdout", "audit.stdout")
     for side in ("a", "b"):
         for name in ("arl-11", "warm-11", "arl-12", "warm-12"):
@@ -31,6 +32,10 @@ def test_checkout_against_itself_at_smoke_scale(tmp_path, capsys):
     train_out = (tmp_path / "a" / "arl-11" / "train.stdout").read_text()
     assert train_out.startswith("config ") and str(tmp_path) not in train_out
     assert "<work>/arl-11/checkpoint.ckpt" in train_out
+    grad_out = (tmp_path / "b" / "grad-check.stdout").read_text()
+    assert grad_out == (tmp_path / "a" / "grad-check.stdout").read_text()
+    assert grad_out.startswith("config seed=1\nconfig instances=2\n")
+    assert grad_out.splitlines()[-1].startswith("grad-check: instances=2 max_rel_error=")
     log = (tmp_path / "a" / "arl-11" / "training_log.csv").read_bytes()
     assert log.count(b"\n") == 1 + 2 * 4    # header, one row per branch and epoch
 

@@ -1,5 +1,6 @@
 """Training-loop contracts: isolation, determinism, resume, symmetry."""
 
+import copy
 import re
 import struct
 from dataclasses import fields
@@ -157,7 +158,7 @@ def test_step_gradient_matches_finite_differences_two_pair_batch():
     pairs = [(0, int(corpus.pairing[0])), (1, int(corpus.pairing[1]))]
     sets = (forced_negative_sets(pairs), None)
 
-    frozen = state.theta.params.copy()
+    frozen = copy.deepcopy(state.theta.params)
     _, tape = step(corpus, pairs, sets, state.theta, cfg)
 
     from prvr import autodiff as ad
@@ -166,8 +167,8 @@ def test_step_gradient_matches_finite_differences_two_pair_batch():
     text64 = corpus.text_features.astype(np.float64)
     video64 = corpus.video_features.astype(np.float64)
 
-    def loss_at(tensors):
-        _, scores, _ = _forward_batch(tensors, frozen.dims, text64, video64, pairs)
+    def loss_at(params):
+        _, scores, _ = _forward_batch(params, text64, video64, pairs)
         return float(ad.val(loss_video(scores, sets[0], cfg)["total"]))
 
     rng = np.random.default_rng(0)
@@ -179,9 +180,9 @@ def test_step_gradient_matches_finite_differences_two_pair_batch():
         for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            fp = loss_at(frozen.tensors)
+            fp = loss_at(frozen)
             flat[idx] = orig - h
-            fm = loss_at(frozen.tensors)
+            fm = loss_at(frozen)
             flat[idx] = orig
             fd = (fp - fm) / (2 * h)
             assert abs(g_flat[idx] - fd) / max(1.0, abs(fd)) < 1e-4
@@ -202,8 +203,7 @@ def test_step_with_different_sets_changes_loss():
     from prvr.trainer import _forward_batch
     from prvr import autodiff as ad
     frame_sims, scores, best = _forward_batch(
-        state.theta.params.tensors, state.theta.params.dims,
-        corpus.text_features.astype(np.float64),
+        state.theta.params, corpus.text_features.astype(np.float64),
         corpus.video_features.astype(np.float64), pairs)
     amb_sets = detect_video_ambiguity(pairs, scores, best, tables, low)
     assert amb_sets.amb.any()
@@ -272,7 +272,7 @@ def test_checkpoint_truncation_names_field(tmp_path):
     data = path.read_bytes()
     dims = 12 + struct.unpack("<I", data[8:12])[0]
     theta = dims + 16 + 4
-    w = 8 * state.theta.params["text_proj_w"].size
+    w = 8 * state.theta.params.tensors["text_proj_w"].size
     # (offset of a field, its name); the last field is phi's pool_b.adam_v
     starts = ((0, "header"), (8, "config length"), (12, "config block"), (dims, "dims"),
               (dims + 16, "epoch"), (theta, "adam_t"),

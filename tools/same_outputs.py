@@ -8,13 +8,16 @@ thread: per seed (11 and 12), gen-corpus of a train and a test split; per
 case, train, evaluate (test split) and audit (train split). The cases are
 the full-ARL and warmup-only configs at both seeds, plus two variants of
 the full-ARL config at seed 11: tv (frame_lad=false cross_model=false) and
-frame-only (video_lad=false). --smoke swaps in the ACCEPT-10 scale configs.
+frame-only (video_lad=false). Last, one grad-check --seed 1 runs 20
+instances. --smoke swaps in the ACCEPT-10 scale configs and 2 grad-check
+instances.
 
 Every output file is compared byte for byte, and every command's stdout
 with the checkout and work paths masked. Each masked stdout is also
-written to `<case>/<command>.stdout` beside the case's outputs, so with
---work DIR both are kept under DIR/a and DIR/b. Exit 0 when all are
-equal, 1 on any difference or failed command, 2 on bad arguments.
+written to `<case>/<command>.stdout` beside the case's outputs, and
+grad-check's to `grad-check.stdout`, so with --work DIR both are kept
+under DIR/a and DIR/b. Exit 0 when all are equal, 1 on any difference or
+failed command, 2 on bad arguments.
 """
 
 import argparse
@@ -92,6 +95,8 @@ def run_checkout(checkout, work, smoke):
         for file in RUN_FILES:
             path = run / file
             outputs[f"{name}/{file}"] = path.read_bytes() if path.exists() else b""
+
+    command("grad-check", ["grad-check", "--seed", 1, "--instances", 2 if smoke else 20])
     return outputs, failures
 
 
