@@ -1,15 +1,17 @@
 """Streamed corpus scoring and the cosine kernel against the oracles.
 
-similarity.score_corpus walks the queries in chunks and the one cosine
-kernel, which the training forward shares, walks (query, video) tiles,
-both sized by the one byte budget _TILE_BYTES; the budget is patched
-here to reach every chunk and tile edge. Cosines, scores, best frames
-(exact ties included), tau_s and detected pairs match the oracle at
+similarity.score_corpus encodes in chunks and walks (query, video) tiles,
+picking candidate frames with one GEMM per tile; the cosine kernel, which
+the training forward shares, walks its own (query, video) tiles. All are
+sized by the one byte budget _TILE_BYTES, which is patched here to reach
+every chunk and tile edge. Cosines, scores, best frames (exact ties and
+near-ties included), tau_s and detected pairs match the oracle at
 tolerance 0; the closed-form uncertainty tables, and what is computed
 from them, within U_TOL.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -55,17 +57,22 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= U_TOL
 
 
-# The byte budget from one (query, video) pair's product bytes and N_v.
-# A map row takes N_v * L_v * 8 bytes, less than 3 pairs at d = 8, and
-# the corpora have N_q = 37, so over the shapes below: budget 1 gives
-# one-row chunks and width-1 tiles; 3 pairs a ragged last chunk; 4 pairs
-# ragged video tiles (N_v = 6); 2 * N_v pairs multi-row query tiles in
-# multi-row chunks; 2^30 one chunk of one tile.
+# The byte budget from one (query, video) pair's kernel product bytes
+# (L_v * d * 8) and N_v. The corpora have N_q = 37 and d = 8. For the
+# kernel: budget 1 gives 1 x 1 tiles; 3 and 4 pairs one-row tiles of 3
+# and (ragged) 4 videos (N_v = 6); 2 * N_v and 4 * N_v pairs multi-row
+# query tiles, the last one ragged. For score_corpus, whose tiles take
+# (L_v + d) * 8 bytes a pair and whose encode chunks one feature row's
+# bytes: budget 1 gives 1 x 1 tiles (a GEMV) and one-row encode chunks;
+# 3, 4 and 2 * N_v pairs ragged query tiles and ragged encode chunks;
+# 4 * N_v pairs tiles ragged in queries and in videos. 2^30 gives one
+# tile and one chunk.
 SIZES = {
     "one-row chunks": lambda pair, n_v: 1,
     "ragged last chunk": lambda pair, n_v: 3 * pair,
     "ragged video tiles": lambda pair, n_v: 4 * pair,
     "query tiles": lambda pair, n_v: 2 * n_v * pair,
+    "ragged score tiles": lambda pair, n_v: 4 * n_v * pair,
     "single chunk": lambda pair, n_v: 1 << 30,
 }
 
@@ -75,24 +82,44 @@ def patch_sizes(monkeypatch, sizes, state, corpus):
     monkeypatch.setattr(similarity, "_TILE_BYTES", SIZES[sizes](pair, corpus.n_v))
 
 
-def tie_frames(monkeypatch):
-    """Make frame 2k + 1 of every video encode exactly as frame 2k.
+def tie_frames(monkeypatch, near=False):
+    """Make frame 2k + 1 of every video encode as frame 2k: exactly, or
+    with near, plus a few ulps.
 
     Patched where score_corpus and the oracle look the encoder up; equal
     input frames would not do, as the positional term tells them apart.
+    Near-tied cosines differ by a few eps, inside the GEMM's rounding, so
+    the GEMM may rank the two frames the other way round from the pairwise
+    sums. The ulps depend only on the position in the video, so chunked
+    and whole encodes agree.
     """
     encode = encoder.encode_video
 
     def tied(params, features, *args):
         emb = encode(params, features, *args).copy()
-        emb[:, 1::2] = emb[:, 0::2]
+        twin = emb[:, 0::2]
+        if near:
+            ulps = np.arange(twin[0].size).reshape(twin.shape[1:]) % 7 - 3
+            twin = twin + ulps * np.spacing(twin)
+        emb[:, 1::2] = twin
         return emb
     for module in (encoder, similarity):
         monkeypatch.setattr(module, "encode_video", tied)
 
 
+def count_rescored(monkeypatch):
+    """A list that grows by the pairs of each autodiff.reduce_max call."""
+    rescored, reduce_max = [], ad.reduce_max
+
+    def counting(dots, axis):
+        rescored.append(len(dots))
+        return reduce_max(dots, axis)
+    monkeypatch.setattr(ad, "reduce_max", counting)
+    return rescored
+
+
 SHAPES = {"base": (6, 4), "l_v=1": (6, 1), "n_v=1": (1, 4), "n_v=l_v=1": (1, 1),
-          "tied frames": (6, 4)}
+          "tied frames": (6, 4), "near-tied frames": (6, 4)}
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -102,14 +129,20 @@ def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
     corpus = make_corpus(n_v=n_v, l_v=l_v, ambiguity_rate=0.3 if n_v > 1 else 0.0)
     state = make_state(corpus)
     patch_sizes(monkeypatch, sizes, state, corpus)
-    if shape == "tied frames":
-        tie_frames(monkeypatch)
+    tied = shape.endswith("tied frames")
+    if tied:
+        tie_frames(monkeypatch, near=shape == "near-tied frames")
+        rescored = count_rescored(monkeypatch)
 
     params = state.theta.params
     scores, best, u_q, u_v = map_corpus_scores(params, corpus)
     got_scores, got_best, got_tables = score_corpus(params, corpus)
     assert_bitwise(got_scores, scores)
     assert_bitwise(got_best, best)
+    if tied:
+        # every pair's best frame has a tied or near-tied twin, so every
+        # pair has several candidates and is rescored frame by frame
+        assert sum(rescored) == corpus.n_q * corpus.n_v
     if shape == "tied frames":
         # every maximum is tied between frames 2k and 2k + 1
         assert not (got_best % 2).any()
@@ -133,6 +166,42 @@ def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
     assert_bitwise(map_tables.u_v, u_v)
     map_thr = compute_thresholds(sim_map, corpus.pairing, map_tables)
     assert (map_thr.tau_s, map_thr.tau_u) == (tau_s, tau_u)
+
+
+@pytest.mark.parametrize("d", (1, 2, 7, 8, 9, 48, 64))
+def test_gemm_error_stays_inside_half_the_candidate_tolerance(d):
+    # score_corpus's tol = 4 (d + 2) eps assumes a GEMM dot and a pairwise
+    # sum of unit vectors differ by at most 2 gamma_d ~ d eps, half of tol
+    rng = np.random.default_rng(d)
+    unit = lambda x: x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    q, f = unit(rng.normal(size=(40, d))), unit(rng.normal(size=(64, d)))
+    pairwise = (q[:, None, :] * f).sum(axis=-1)
+    tol = 4 * (d + 2) * np.finfo(np.float64).eps
+    gemv = np.stack([f @ row for row in q])
+    for gemm in ((f @ q.T).T, q @ f.T, gemv):
+        assert np.abs(gemm - pairwise).max() < tol / 2
+
+
+def test_scoring_working_set_stays_within_two_tile_budgets(monkeypatch):
+    # ACCEPT shapes with precomputed embeddings, so only scoring allocates;
+    # the corpus's features are row indices into them
+    n_q, n_v, l_v, d = 200, 100, 16, 48
+    rng = np.random.default_rng(8)
+    emb_q, emb_v = rng.normal(size=(n_q, d)), rng.normal(size=(n_v, l_v, d))
+    monkeypatch.setattr(similarity, "encode_text", lambda params, rows: emb_q[rows[:, 0, 0]])
+    monkeypatch.setattr(similarity, "encode_video", lambda params, rows: emb_v[rows[:, 0, 0]])
+    corpus = SimpleNamespace(text_features=np.arange(n_q).reshape(n_q, 1, 1),
+                             video_features=np.arange(n_v).reshape(n_v, 1, 1))
+    tracemalloc.start()
+    try:
+        scores, best, _ = score_corpus(None, corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == best.shape == (n_q, n_v)
+    outputs = scores.nbytes + best.nbytes
+    encodes = emb_q.nbytes + emb_v.nbytes
+    assert peak - outputs - encodes < 2 * similarity._TILE_BYTES, (peak, outputs, encodes)
 
 
 @pytest.mark.parametrize("sizes", ("one-row chunks", "ragged video tiles"))

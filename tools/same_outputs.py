@@ -8,9 +8,11 @@ thread: per seed (11 and 12), gen-corpus of a train and a test split; per
 case, train, evaluate (test split) and audit (train split). The cases are
 the full-ARL and warmup-only configs at both seeds, plus two variants of
 the full-ARL config at seed 11: tv (frame_lad=false cross_model=false) and
-frame-only (video_lad=false). Last, one grad-check --seed 1 runs 20
-instances. --smoke swaps in the ACCEPT-10 scale configs and 2 grad-check
-instances.
+frame-only (video_lad=false). Then the warm seed-11 checkpoint evaluates
+and audits the benchmark-scale corpus (`large.corpus.cfg`, 2000 x 1000 x
+16, seed 11), where near-tied frames are most frequent. Last, one
+grad-check --seed 1 runs 20 instances. --smoke swaps in the ACCEPT-10
+scale configs and 2 grad-check instances, and skips the large corpus.
 
 Every output file is compared byte for byte, and every command's stdout
 with the checkout and work paths masked. Each masked stdout is also
@@ -33,6 +35,7 @@ SCALES = {
     True: ("tiny.corpus.cfg", "tiny_arl.train.cfg", "tiny_warm.train.cfg"),
 }
 SEEDS = (11, 12)
+LARGE = "large.corpus.cfg"
 RUN_FILES = ("checkpoint.ckpt", "training_log.csv", "config.resolved", "report.json",
              "audit.csv")
 ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
@@ -73,28 +76,44 @@ def run_checkout(checkout, work, smoke):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(masked)
 
-    corpus_cfg = configs / SCALES[smoke][0]
-    for seed in SEEDS:
+    def keep(name, path):
+        outputs[name] = path.read_bytes() if path.exists() else b""
+
+    def corpora(name, cfg, seed):
         for split in ("train", "test"):
-            path = work / f"corpus-{seed}" / f"{split}.prvc"
+            path = work / name / f"{split}.prvc"
             path.parent.mkdir(parents=True, exist_ok=True)
-            command(f"corpus-{seed}/{split}", ["gen-corpus", "--spec", corpus_cfg, "--out", path,
-                                               "--split", split, "--set", f"seed={seed}"])
-            outputs[f"corpus-{seed}/{split}.prvc"] = path.read_bytes() if path.exists() else b""
+            command(f"{name}/{split}", ["gen-corpus", "--spec", cfg, "--out", path,
+                                        "--split", split, "--set", f"seed={seed}"])
+            keep(f"{name}/{split}.prvc", path)
+        return work / name
+
+    def score(name, ckpt, splits):
+        run = work / name
+        run.mkdir(parents=True, exist_ok=True)
+        command(f"{name}/evaluate", ["evaluate", "--checkpoint", ckpt, "--corpus",
+                                     splits / "test.prvc", "--out", run / "report.json"])
+        command(f"{name}/audit", ["audit", "--checkpoint", ckpt, "--corpus",
+                                  splits / "train.prvc", "--out", run / "audit.csv"])
+
+    for seed in SEEDS:
+        corpora(f"corpus-{seed}", configs / SCALES[smoke][0], seed)
 
     for name, cfg, seed, overrides in cases(smoke):
-        run, corpora = work / name, work / f"corpus-{seed}"
+        run = work / name
         sets = [a for kv in (f"seed={seed}",) + overrides for a in ("--set", kv)]
-        ckpt = run / "checkpoint.ckpt"
-        command(f"{name}/train", ["train", "--corpus", corpora / "train.prvc",
+        command(f"{name}/train", ["train", "--corpus", work / f"corpus-{seed}" / "train.prvc",
                                   "--config", configs / cfg, "--out", run] + sets)
-        command(f"{name}/evaluate", ["evaluate", "--checkpoint", ckpt, "--corpus",
-                                     corpora / "test.prvc", "--out", run / "report.json"])
-        command(f"{name}/audit", ["audit", "--checkpoint", ckpt, "--corpus",
-                                  corpora / "train.prvc", "--out", run / "audit.csv"])
+        score(name, run / "checkpoint.ckpt", work / f"corpus-{seed}")
         for file in RUN_FILES:
-            path = run / file
-            outputs[f"{name}/{file}"] = path.read_bytes() if path.exists() else b""
+            keep(f"{name}/{file}", run / file)
+
+    if not smoke:
+        seed = SEEDS[0]
+        score("large", work / f"warm-{seed}" / "checkpoint.ckpt",
+              corpora("corpus-large", configs / LARGE, seed))
+        for file in ("report.json", "audit.csv"):
+            keep(f"large/{file}", work / "large" / file)
 
     command("grad-check", ["grad-check", "--seed", 1, "--instances", 2 if smoke else 20])
     return outputs, failures
