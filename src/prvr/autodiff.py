@@ -164,13 +164,15 @@ def transpose(a, axes):
 
 
 def take(a, indices, axis=0):
-    """Gather along one axis with integer indices (scatter-add VJP)."""
+    """Gather along one axis (negative counts from the last) with integer
+    indices of any shape; the VJP scatter-adds, so repeats accumulate."""
     av = val(a)
     indices = np.asarray(indices)
+    at = (slice(None),) * (axis % av.ndim) + (indices,)
 
     def vjp(g):
         grad = np.zeros(av.shape, dtype=np.float64)
-        np.add.at(grad, (slice(None),) * axis + (indices,), g)
+        np.add.at(grad, at, g)
         return grad
 
     return node(np.take(av, indices, axis=axis), (a, vjp))

@@ -14,8 +14,10 @@ functions take an EncoderParams, whose tensors are arrays or, inside a
 training step, autodiff Vars (wrap_params), and features of one instance
 or a stack of them along a leading batch axis. Every op works on the last
 two axes (batched matmul, per-row reductions), so an instance's output is
-bitwise the same alone or inside any batch. One table, _param_specs,
-declares every tensor's name, shape and init rule.
+bitwise the same alone or inside any batch. For the same reason a tensor
+may carry extra leading axes (grad-check's probe axis): they broadcast to
+the left of every activation axis and reach the outputs. One table,
+_param_specs, declares every tensor's name, shape and init rule.
 """
 
 import functools

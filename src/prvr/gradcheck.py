@@ -5,6 +5,15 @@ the base parameters (set membership is discrete and held fixed, exactly
 as within one training step), then compares the backprop gradient of the
 combined video+frame objective against central differences for every
 parameter element.
+
+The differences are probe-batched: for a tensor of n elements, all 2n
+perturbed copies of it (+FD_STEP and -FD_STEP per element) are stacked on
+a leading probe axis, shaped (2n, 1, 1, 1, *shape) so that it broadcasts
+to the left of every activation axis, and run in one untraced forward;
+every other tensor stays as it is. The encoders, the cosine kernel and the
+losses work on negative axes and reduce per probe, so each probe's loss
+has the bits of a forward with that one element moved. A non-finite
+difference raises NumericalError naming its tensor.
 """
 
 import numpy as np
@@ -14,11 +23,16 @@ from .ambiguity import (Thresholds, UncertaintyTables, detect_frame_ambiguity,
                         detect_video_ambiguity, pair_uncertainties)
 from .config import TrainConfig
 from .encoder import EncoderDims, EncoderParams, collect_tape, wrap_params
+from .errors import NumericalError
 from .losses import grand_total, loss_frame, loss_video
 from .trainer import _forward_batch
 
 FD_STEP = 1e-4
 REL_TOL = 1e-4
+# Unit axes between the probe axis and a tensor's own axes. An activation
+# has at most three axes ((b, L, L) attention, (b, b, L_v) cosines), so
+# the probe axis lands left of every axis a tensor meets.
+_PROBE_PAD = (1, 1, 1)
 
 
 def _random_instance(seed):
@@ -58,28 +72,42 @@ def _random_instance(seed):
     return params, build_loss
 
 
+def probe_losses(params: EncoderParams, build_loss, name):
+    """(2, n) losses: row 0 with each of the n elements of tensor `name`
+    moved by +FD_STEP, row 1 by -FD_STEP, every other tensor as it is.
+
+    All 2n perturbed copies of the tensor run in one forward, stacked on a
+    leading probe axis shaped (2n, *_PROBE_PAD, *shape).
+    """
+    t = params.tensors[name]
+    flat = t.reshape(-1)
+    n = flat.size
+    probes = np.tile(flat, (2, n, 1))
+    i = np.arange(n)
+    probes[0, i, i] = flat + FD_STEP
+    probes[1, i, i] = flat - FD_STEP
+    tensors = {**params.tensors, name: probes.reshape((2 * n,) + _PROBE_PAD + t.shape)}
+    return np.reshape(ad.val(build_loss(EncoderParams(params.dims, tensors))), (2, n))
+
+
 def check_instance(seed) -> float:
-    """Max relative gradient error of one random instance."""
+    """Max relative gradient error of one random instance.
+
+    Raises NumericalError, naming the tensor, when a finite difference is
+    not finite.
+    """
     params, build_loss = _random_instance(seed)
     wrapped = wrap_params(params)
     tape = collect_tape(wrapped, build_loss(wrapped))
 
     max_rel = 0.0
-    base = EncoderParams(params.dims, {k: v.copy() for k, v in params.tensors.items()})
     for name in params.names():
-        flat = base.tensors[name].reshape(-1)
-        g_flat = tape[name].reshape(-1)
-        for idx in range(flat.size):
-            orig = flat[idx]
-            flat[idx] = orig + FD_STEP
-            f_plus = float(ad.val(build_loss(base)))
-            flat[idx] = orig - FD_STEP
-            f_minus = float(ad.val(build_loss(base)))
-            flat[idx] = orig
-            g_fd = (f_plus - f_minus) / (2.0 * FD_STEP)
-            rel = abs(g_flat[idx] - g_fd) / max(1.0, abs(g_fd))
-            if rel > max_rel:
-                max_rel = rel
+        f_plus, f_minus = probe_losses(params, build_loss, name)
+        g_fd = (f_plus - f_minus) / (2.0 * FD_STEP)
+        if not np.all(np.isfinite(g_fd)):
+            raise NumericalError(f"finite difference for {name} is non-finite")
+        rel = np.abs(tape[name].reshape(-1) - g_fd) / np.maximum(1.0, np.abs(g_fd))
+        max_rel = max(max_rel, float(rel.max()))
     return max_rel
 
 

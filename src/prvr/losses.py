@@ -14,8 +14,18 @@ the frame level gathers each pair's own frames and the batch queries at
 its best frame. Warmup is the video objective with ambiguous sets forced
 empty. Exponentials use raw cosine scores; empty sets add exact zeros.
 The margins and lambda_nce are TrainConfig fields, checked by its validate.
+
+Scores may carry leading probe axes, (*probes, b, b) and (*probes, b, b,
+L_v), as grad-check's probe-batched forward gives them; training passes
+none. Every axis is counted from the end. A level flattens its whole
+score tensor and offsets each probe's positions by its block, so every
+gather is one flat take and every reduction (over members, then over
+anchors) keeps the probe axes: each loss comes out (*probes,), and the
+hardest member is picked per probe. The sets and masks are shared by all
+probes.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,91 +65,106 @@ def _contrast(e_pos, e, amb, neg, axis):
     return ad.sub(ad.log(den), ad.log(num))
 
 
-def _objective(flat, anchors, gathers, cfg: TrainConfig):
-    """The one ARL body over a level's flat score vector: the (b,)
+def _flat_level(x, ndim):
+    """x flattened whole, and the flat offset of each block of its last
+    `ndim` axes, one block per probe, shaped (*probes, 1) so that it
+    broadcasts against positions within a block ((1,) without probes)."""
+    shape = np.shape(ad.val(x))
+    probes, block = shape[:-ndim], math.prod(shape[-ndim:])
+    offsets = np.arange(math.prod(probes)).reshape(probes + (1,)) * block
+    return ad.reshape(x, (-1,)), offsets
+
+
+def _objective(flat, offsets, anchors, gathers, cfg: TrainConfig):
+    """The one ARL body over a level's flat score vector: the (*probes, b)
     contrastive losses of every direction, in order (`_nce`), and the
-    ambiguous (margin_ma) and negative (margin_m) triplet hinges over all
-    directions (`_hinge`).
+    (*probes,) ambiguous (margin_ma) and negative (margin_m) triplet hinges
+    over all directions (`_hinge`).
 
-    anchors are the flat positions of the b positive scores. Each gather
-    is (idx, directions): idx a 2-D integer array of flat positions, each
-    direction an (amb, neg, axis) triple of boolean masks shaped like idx
-    that reduce along `axis` (1 for a (b, n) idx, 0 for an (n, b) one) to
-    one value per anchor.
+    Positions are flat positions within one probe's block, which
+    `offsets` (*probes, 1) shift to each probe's. anchors (b,) are the
+    positions of the positive scores. Each gather is (idx, directions):
+    idx a 2-D integer array of positions, each direction an (amb, neg,
+    axis) triple of boolean masks shaped like idx that reduce along
+    `axis` (-1 for a (b, n) idx, -2 for an (n, b) one) to one value per
+    anchor.
     """
-    return (_nce(flat, anchors, gathers), _hinge(flat, anchors, gathers, 0, cfg.margin_ma),
-            _hinge(flat, anchors, gathers, 1, cfg.margin_m))
+    return (_nce(flat, offsets, anchors, gathers),
+            _hinge(flat, offsets, anchors, gathers, 0, cfg.margin_ma),
+            _hinge(flat, offsets, anchors, gathers, 1, cfg.margin_m))
 
 
-def _nce(flat, anchors, gathers):
-    """The (b,) contrastive losses of every direction; exp is taken once of
-    the anchors and once per gather."""
-    e_anchor = ad.exp(ad.take(flat, anchors))
+def _nce(flat, offsets, anchors, gathers):
+    """The (*probes, b) contrastive losses of every direction; exp is taken
+    once of the anchors and once per gather."""
+    e_anchor = ad.exp(ad.take(flat, offsets + anchors))
     nce = []
     for idx, directions in gathers:
-        e = ad.exp(ad.take(flat, idx))
+        e = ad.exp(ad.take(flat, offsets[..., None] + idx))
         nce += [_contrast(e_anchor, e, amb.astype(np.float64), neg.astype(np.float64), axis)
                 for amb, neg, axis in directions]
     return nce
 
 
-def _hinge(flat, anchors, gathers, which, margin):
-    """sum(relu(hardest - anchor + margin)) / b over every direction, the
-    hardest member (lowest position on ties) drawn from each direction's
-    mask `which` (0 ambiguous, 1 negative); empty sets add nothing, and
-    no members at all give an exact zero."""
+def _hinge(flat, offsets, anchors, gathers, which, margin):
+    """sum(relu(hardest - anchor + margin)) / b over every direction, per
+    probe. Each probe's hardest member (lowest position on ties) is drawn
+    from each direction's mask `which` (0 ambiguous, 1 negative) by its
+    own scores; empty sets add nothing, and no members at all give an
+    exact zero."""
     fv = np.asarray(ad.val(flat))
     slots = np.arange(len(anchors))
     hard, ok = [], []
     for idx, directions in gathers:
-        values = fv[idx]
+        values = fv[offsets[..., None] + idx]
         for *masks, axis in directions:
             mask = masks[which]
             k = np.argmax(np.where(mask, values, -np.inf), axis=axis)
-            hard.append(idx[slots, k] if axis == 1 else idx[k, slots])
+            hard.append(idx[slots, k] if axis == -1 else idx[k, slots])
             ok.append(mask.any(axis=axis))
     valid = np.concatenate(ok)
     if not valid.any():
         return 0.0
-    gap = ad.sub(ad.take(flat, np.concatenate(hard)[valid]),
-                 ad.take(flat, np.concatenate([anchors] * len(ok))[valid]))
-    return ad.div(ad.reduce_sum(ad.relu(ad.add(gap, float(margin)))), float(len(anchors)))
+    gap = ad.sub(ad.take(flat, offsets + np.concatenate(hard, axis=-1)[..., valid]),
+                 ad.take(flat, offsets + np.concatenate([anchors] * len(ok))[valid]))
+    return ad.div(ad.reduce_sum(ad.relu(ad.add(gap, float(margin))), axis=-1),
+                  float(len(anchors)))
 
 
 def _video_level(scores, amb, neg):
-    """Flat (b*b,) scores, the diagonal anchors, and one identity gather
-    reduced over videos per query (axis 1) and over queries per video
-    (axis 0)."""
+    """Flat (*probes, b, b) scores and their offsets, the diagonal anchors,
+    and one identity gather reduced over videos per query (axis -1) and
+    over queries per video (axis -2)."""
     b = len(amb)
     idx = np.arange(b * b).reshape(b, b)
-    return (ad.reshape(scores, (b * b,)), np.diagonal(idx),
-            [(idx, [(amb, neg, 1), (amb, neg, 0)])])
+    return (*_flat_level(scores, 2), np.diagonal(idx),
+            [(idx, [(amb, neg, -1), (amb, neg, -2)])])
 
 
 def loss_nce_slots(scores, sets: AmbiguitySets):
     """Per-slot contrastive losses of the video level, query over videos
-    and video over queries, as two (b,) vectors."""
+    and video over queries, as two (*probes, b) arrays."""
     return tuple(_nce(*_video_level(scores, sets.amb, sets.neg)))
 
 
 def loss_triplet(scores, mask, margin):
     """Video-level hinge against the hardest member of `mask` (b, b), per
     query over videos and per video over queries, summed over slots and
-    divided by b."""
+    divided by b (one value per probe)."""
     return _hinge(*_video_level(scores, mask, mask), 0, margin)
 
 
 def loss_video(scores, sets: AmbiguitySets, cfg: TrainConfig):
     """Combined video-level objective; returns a dict of components."""
     (t2v, v2t), trip_a, trip_n = _objective(*_video_level(scores, sets.amb, sets.neg), cfg)
-    nce_t2v, nce_v2t = ad.reduce_mean(t2v), ad.reduce_mean(v2t)
+    nce_t2v, nce_v2t = ad.reduce_mean(t2v, axis=-1), ad.reduce_mean(v2t, axis=-1)
     total = ad.add(ad.add(ad.mul(ad.add(nce_t2v, nce_v2t), cfg.lambda_nce), trip_a), trip_n)
     return {"nce_t2v": nce_t2v, "nce_v2t": nce_v2t,
             "trip_a": trip_a, "trip_n": trip_n, "total": total}
 
 
 def loss_frame(frame_sims, frames: FrameSets, cfg: TrainConfig):
-    """Frame-level objective over a (b, b, L_v) cosine tensor.
+    """Frame-level objective over a (*probes, b, b, L_v) cosine tensor.
 
     Per pair p the anchor is its best frame k^; the frames of p's video
     contrast against it (text -> frames) and so do the batch queries at
@@ -147,7 +172,7 @@ def loss_frame(frame_sims, frames: FrameSets, cfg: TrainConfig):
     is the whole video, so the frame level would only duplicate the video
     objective.
     """
-    b, _, l_v = np.shape(ad.val(frame_sims))
+    b, _, l_v = np.shape(ad.val(frame_sims))[-3:]
     if l_v == 1:
         return {"nce": 0.0, "trip_a": 0.0, "trip_n": 0.0, "total": 0.0}
     slots = np.arange(b)
@@ -156,10 +181,10 @@ def loss_frame(frame_sims, frames: FrameSets, cfg: TrainConfig):
     own_idx = (slots * (b + 1) * l_v)[:, None] + np.arange(l_v)
     sel_idx = (slots[None, :] * b + slots[:, None]) * l_v + k_hat[:, None]
     (own, sel), trip_a, trip_n = _objective(
-        ad.reshape(frame_sims, (b * b * l_v,)), slots * (b + 1) * l_v + k_hat,
-        [(own_idx, [(frames.amb_frame_mask, frames.neg_frame_mask, 1)]),
-         (sel_idx, [(frames.amb_query_mask, frames.neg_query_mask, 1)])], cfg)
-    nce = ad.div(ad.reduce_sum(ad.add(own, sel)), float(b))
+        *_flat_level(frame_sims, 3), slots * (b + 1) * l_v + k_hat,
+        [(own_idx, [(frames.amb_frame_mask, frames.neg_frame_mask, -1)]),
+         (sel_idx, [(frames.amb_query_mask, frames.neg_query_mask, -1)])], cfg)
+    nce = ad.div(ad.reduce_sum(ad.add(own, sel), axis=-1), float(b))
     total = ad.add(ad.add(ad.mul(nce, cfg.lambda_nce), trip_a), trip_n)
     return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
 

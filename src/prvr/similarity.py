@@ -11,6 +11,9 @@ property, and its bits also depend on the BLAS thread count, so a GEMM
 value never reaches an output. The kernel `_unit_dots` fills every
 cosine of a (query, frame) grid in (query, video) tiles; the training
 and grad-check forward (`cosine_pairs`) and `build_corpus_map` run it.
+Its operands are (..., n, d) and (..., m, L, d): leading axes on either
+side (grad-check's probe axis) broadcast to (..., n, m, L), and a tile
+takes every leading index of its pairs.
 
 Corpus scoring never holds the whole map and computes almost no cosine
 elementwise. `score_corpus` encodes each side in chunks and walks
@@ -86,37 +89,41 @@ def _mul_sum(a, b, prod, out):
 
 
 def _unit_dots(qu, fu):
-    """Dots (n, m, L) between unit queries (n, d) and unit frames (m, L, d).
+    """Dots (..., n, m, L) between unit queries (..., n, d) and unit frames
+    (..., m, L, d), whose leading axes broadcast (grad-check's probes).
 
     The forward runs over (query, video) tiles through one reused buffer
-    of about _TILE_BYTES. Each dot is the same pairwise sum over d as in
-    the whole product, so every tiling gives the same bits. The backward
+    of about _TILE_BYTES; a tile takes every leading index of its pairs.
+    Each dot is the same pairwise sum over d as in the whole product, so
+    every tiling and leading shape gives the same bits. The backward
     contracts the output gradient against the other operand with einsum
-    instead of materializing the (n, m, L, d) product.
+    instead of materializing the (..., n, m, L, d) product.
     """
     qv, fv = ad.val(qu), ad.val(fu)
-    n_q = len(qv)
-    n_v, l_v, d = fv.shape
-    pair = l_v * d * 8              # product bytes of one (query, video) pair
+    (n_q, d), (n_v, l_v) = qv.shape[-2:], fv.shape[-3:-1]
+    lead = np.broadcast_shapes(qv.shape[:-2], fv.shape[:-3])
+    pair = math.prod(lead) * l_v * d * 8    # product bytes of a pair at every leading index
     tv = max(1, min(n_v, _TILE_BYTES // pair))
     tq = max(1, min(n_q, _TILE_BYTES // (tv * pair)))
-    buf = np.empty(tq * tv * l_v * d)
-    out = np.empty((n_q, n_v, l_v))
+    buf = np.empty(tq * tv * pair // 8)
+    out = np.empty(lead + (n_q, n_v, l_v))
     for x0 in range(0, n_q, tq):
-        q = qv[x0:x0 + tq, None, None, :]
+        q = qv[..., x0:x0 + tq, None, None, :]
         for y0 in range(0, n_v, tv):
-            f = fv[y0:y0 + tv]
-            _mul_sum(q, f, buf[:len(q) * f.size].reshape(len(q), *f.shape),
-                     out[x0:x0 + tq, y0:y0 + tv])
-    return ad.node(out, (qu, lambda g: np.einsum("xyk,ykd->xd", g, fv, optimize=False)),
-                   (fu, lambda g: np.einsum("xyk,xd->ykd", g, qv, optimize=False)))
+            f = fv[..., None, y0:y0 + tv, :, :]
+            shape = np.broadcast_shapes(q.shape, f.shape)
+            _mul_sum(q, f, buf[:math.prod(shape)].reshape(shape),
+                     out[..., x0:x0 + tq, y0:y0 + tv, :])
+    return ad.node(out, (qu, lambda g: np.einsum("...xyk,...ykd->...xd", g, fv, optimize=False)),
+                   (fu, lambda g: np.einsum("...xyk,...xd->...ykd", g, qv, optimize=False)))
 
 
 def cosine_pairs(q_emb, frame_emb):
-    """All-pairs cosine tensor between queries (n, d) and frames (m, L, d).
+    """All-pairs cosine tensor between queries (..., n, d) and frames
+    (..., m, L, d).
 
-    Returns (n, m, L); differentiable when inputs are Vars. Aborts on a
-    zero embedding.
+    Returns (..., n, m, L); differentiable when inputs are Vars. Aborts on
+    a zero embedding.
     """
     return _unit_dots(_unit(q_emb), _unit(frame_emb))
 

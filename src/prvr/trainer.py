@@ -104,12 +104,13 @@ def _forward_batch(params: EncoderParams, text, video, pairs):
     params holds arrays, or Vars from wrap_params when a tape follows.
     text/video are whole feature arrays; only the rows of the batch are
     gathered (the encoders cast them to float64), and each side is
-    encoded in one call.
+    encoded in one call. Tensors with leading (probe) axes give outputs
+    with those axes first; the frame axis is always the last.
     """
     q = encode_text(params, text[[i for i, _ in pairs]])
     v = encode_video(params, video[[j for _, j in pairs]])
     frame_sims = cosine_pairs(q, v)
-    scores, best = ad.reduce_max(frame_sims, axis=2)
+    scores, best = ad.reduce_max(frame_sims, axis=-1)
     return frame_sims, scores, best
 
 

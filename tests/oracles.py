@@ -386,3 +386,26 @@ def map_branch_scores(state, corpus):
         scores, best, u_q, u_v = map_corpus_scores(branch.params, corpus)
         out.append((scores, best, map_pair_uncertainty(u_q, u_v, best)))
     return out
+
+
+# --- per-element finite differences ----------------------------------------
+
+def loop_fd_losses(params, build_loss, name):
+    """(2, n) losses of grad-check's per-element central differences on
+    tensor `name`: row 0 at +FD_STEP, row 1 at -FD_STEP, one forward per
+    element and sign, the loop grad-check ran before it batched probes."""
+    from prvr import autodiff as ad
+    from prvr.encoder import EncoderParams
+    from prvr.gradcheck import FD_STEP
+
+    base = EncoderParams(params.dims, {k: v.copy() for k, v in params.tensors.items()})
+    flat = base.tensors[name].reshape(-1)
+    losses = np.empty((2, flat.size))
+    for idx in range(flat.size):
+        orig = flat[idx]
+        flat[idx] = orig + FD_STEP
+        losses[0, idx] = float(ad.val(build_loss(base)))
+        flat[idx] = orig - FD_STEP
+        losses[1, idx] = float(ad.val(build_loss(base)))
+        flat[idx] = orig
+    return losses

@@ -174,7 +174,7 @@ _CONTRACT = {
     "reduce_max": (lambda a: ad.reduce_max(a, axis=1)[0], _UNARY[1:]),
     "reshape": (lambda a: ad.reshape(a, (-1,)), _UNARY),
     "transpose": (lambda a: ad.transpose(a, (1, 0)), _UNARY[1:]),
-    "take": (lambda a: ad.take(a, [0, 0, 2], axis=1), _UNARY[1:]),
+    "take": (lambda a: ad.take(a, [0, 0, 2], axis=-1), _UNARY[1:] + [((2, 3, 4),)]),
 }
 
 
@@ -200,6 +200,23 @@ def test_node_contract(name):
         if len(xs) == 2:
             vs = [ad.Var(x) for x in xs]
             assert [p for p, _ in op(*vs).parents] == vs
+
+
+@pytest.mark.parametrize("axis", (0, 1, 2, -1, -2, -3))
+def test_take_scatter_adds_along_any_axis(axis):
+    # repeated and multi-dimensional indices along every axis, counted from
+    # either end: each input cell's gradient sums the output cells that read it
+    x = rng.normal(size=(2, 3, 4))
+    idx = np.array([[0, 1], [1, 1]])
+    out = ad.take(ad.Var(x), idx, axis=axis)
+    np.testing.assert_array_equal(out.value, np.take(x, idx, axis=axis))
+    g = rng.normal(size=out.value.shape)
+    (_, vjp), = out.parents
+    want, k = np.zeros_like(x), axis % x.ndim
+    for pos in np.ndindex(*g.shape):
+        src = pos[:k] + (idx[pos[k:k + 2]],) + pos[k + 2:]
+        want[src] += g[pos]
+    np.testing.assert_array_equal(vjp(g), want)
 
 
 def test_node_unbroadcasts_and_keeps_var_order():

@@ -495,3 +495,29 @@ def test_levels_equal_two_form_reference_bitwise(regime):
         want, g_want = _parts_value_and_grad(gather_loss_frame, sims, fsets, cfg)
         assert got == want, (trial, b, l_v)
         assert np.array_equal(g_got, g_want), (trial, b, l_v)
+
+
+def test_levels_on_probe_axes_equal_per_slice_calls():
+    # tolerance 0: the levels reduce and gather on negative axes, so scores
+    # stacked on leading (probe) axes give each slice's own bits. Every
+    # member is planted within 1e-12 of a tie, so the hardest member moves
+    # from probe to probe.
+    rng = np.random.default_rng(29)
+    cfg = TrainConfig()
+    b, l_v, probes = 5, 4, (7, 2)
+    batch = distinct_batch(b)
+    sets = sets_from_masks(batch, rng.random((b, b)) < 0.4)
+    scores = 0.5 + 1e-12 * rng.normal(size=probes + (b, b))
+    base = rng.choice([0.2, 0.5], size=(b, b, l_v))
+    sims = base + 1e-12 * rng.normal(size=probes + (b, b, l_v))
+    tables = UncertaintyTables(u_q=rng.uniform(-1, 1, size=b),
+                               u_v=rng.uniform(-1, 1, size=(b, l_v)))
+    fsets = detect_frame_ambiguity(batch, base, tables, Thresholds(0.3, 0.0))
+    hardest = np.argmax(np.where(sets.neg, scores, -np.inf), axis=-1).reshape(-1, b)
+    assert len(np.unique(hardest, axis=0)) > 1
+    for loss_fn, x, level_sets in ((loss_video, scores, sets), (loss_frame, sims, fsets)):
+        got = loss_fn(x, level_sets, cfg)
+        for pos in np.ndindex(*probes):
+            want = loss_fn(x[pos], level_sets, cfg)
+            for key, value in want.items():
+                assert np.broadcast_to(got[key], probes)[pos] == value, (loss_fn, pos, key)

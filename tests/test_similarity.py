@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from prvr import autodiff as ad
+from prvr import similarity
 from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.encoder import EncoderDims, EncoderParams, encode_text, encode_video
 from prvr.errors import NumericalError
@@ -191,3 +192,34 @@ def test_cosine_pairs_frame_gradient():
         want[idx] = (float(build(fp)) - float(build(fm))) / (2 * h)
     np.testing.assert_allclose(got, want, atol=1e-7)
     assert id(qv) in grads
+
+
+@pytest.mark.parametrize("tile_bytes", (1, None))
+@pytest.mark.parametrize("q_lead, f_lead", (((3,), ()), ((), (2,)), ((2, 1), (1, 3))))
+def test_unit_dots_on_leading_axes_equal_per_slice_calls(monkeypatch, tile_bytes, q_lead,
+                                                         f_lead):
+    # tolerance 0: leading axes on either operand broadcast, and each dot
+    # stays the pairwise sum of its own two rows, tile by tile
+    if tile_bytes is not None:
+        monkeypatch.setattr(similarity, "_TILE_BYTES", tile_bytes)
+    rng = np.random.default_rng(31)
+    qu = rng.normal(size=q_lead + (5, 6))
+    fu = rng.normal(size=f_lead + (4, 3, 6))
+    lead = np.broadcast_shapes(q_lead, f_lead)
+    got = similarity._unit_dots(qu, fu)
+    assert got.shape == lead + (5, 4, 3)
+    qs, fs = np.broadcast_to(qu, lead + (5, 6)), np.broadcast_to(fu, lead + (4, 3, 6))
+    g = rng.normal(size=got.shape)
+    want = [np.zeros_like(qu), np.zeros_like(fu)]
+    for pos in np.ndindex(*lead):
+        np.testing.assert_array_equal(got[pos], similarity._unit_dots(qs[pos], fs[pos]))
+        # each slice's gradient lands on the operand cell it was broadcast from
+        vs = [ad.Var(qs[pos]), ad.Var(fs[pos])]
+        grads = ad.backward(ad.reduce_sum(ad.mul(similarity._unit_dots(*vs), g[pos])))
+        for w, v, own in zip(want, vs, (q_lead, f_lead)):
+            at = tuple(p if n > 1 else 0 for p, n in zip(pos[len(lead) - len(own):], own))
+            w[at] += grads[id(v)]
+    vs = [ad.Var(qu), ad.Var(fu)]
+    grads = ad.backward(ad.reduce_sum(ad.mul(similarity._unit_dots(*vs), g)))
+    for w, v in zip(want, vs):
+        np.testing.assert_allclose(grads[id(v)], w, rtol=1e-12, atol=1e-14)
