@@ -15,9 +15,8 @@ from .encoder import EncoderDims, EncoderParams, encode_text, encode_video
 from .errors import (ConfigError, DimensionError, FormatError,
                      NumericalError, PrvrError)
 from .evaluation import AuditReport, RecallReport, audit, evaluate
-from .losses import LossBreakdown, loss_frame, loss_video, loss_warmup
+from .losses import branch_loss, loss_frame, loss_video, loss_warmup
 from .similarity import CorpusSimilarityMap, build_corpus_map
-from .trainer import (DualBranchState, TrainConfig, checkpoint, resume,
-                      step, train)
+from .trainer import DualBranchState, TrainConfig, checkpoint, resume, train
 
 __version__ = "0.1.0"

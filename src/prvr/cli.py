@@ -43,6 +43,8 @@ def _require_file(path, what):
 
 def _check_out_file(out):
     """Fail before any work when the file `out` cannot be written."""
+    if not out:
+        raise OSError("--out is empty")
     if not os.path.isdir(os.path.dirname(out) or "."):
         raise OSError(f"--out's parent is not a directory: {out}")
     if os.path.isdir(out):
@@ -64,7 +66,10 @@ def cmd_gen_corpus(args):
 
 
 def cmd_train(args):
-    # --out, or else its nearest existing ancestor, must be a directory
+    # --out, or else its nearest existing ancestor, must be a directory;
+    # abspath("") is the working directory, so an empty --out is refused first
+    if not args.out:
+        raise ConfigError("--out is empty")
     path = os.path.abspath(args.out)
     while not os.path.exists(path):
         path = os.path.dirname(path)

@@ -3,8 +3,8 @@
 Each instance builds a small random batch, detects ambiguity sets once at
 the base parameters (set membership is discrete and held fixed, exactly
 as within one training step), then compares the backprop gradient of the
-combined video+frame objective against central differences for every
-parameter element.
+objective that training differentiates, `losses.branch_loss` on the video
+and frame sets, against central differences for every parameter element.
 
 The differences are probe-batched: for a tensor of n elements, all 2n
 perturbed copies of it (+FD_STEP and -FD_STEP per element) are stacked on
@@ -24,7 +24,7 @@ from .ambiguity import (Thresholds, UncertaintyTables, detect_frame_ambiguity,
 from .config import TrainConfig
 from .encoder import EncoderDims, EncoderParams, collect_tape, wrap_params
 from .errors import NumericalError
-from .losses import grand_total, loss_frame, loss_video
+from .losses import branch_loss
 from .trainer import _forward_batch
 
 FD_STEP = 1e-4
@@ -67,7 +67,7 @@ def _random_instance(seed):
 
     def build_loss(p):
         f, s, _ = _forward_batch(p, text, video, pairs)
-        return grand_total(loss_video(s, vsets, cfg), loss_frame(f, fsets, cfg))
+        return branch_loss(f, s, (vsets, fsets), cfg)[0]
 
     return params, build_loss
 

@@ -11,9 +11,11 @@ triplet hinges take the hardest ambiguous (margin_ma) and the hardest
 negative (margin_m) member over all directions. The video level is one
 identity gather of the (b, b) scores, reduced per query and per video;
 the frame level gathers each pair's own frames and the batch queries at
-its best frame. Warmup is the video objective with ambiguous sets forced
-empty. Exponentials use raw cosine scores; empty sets add exact zeros.
-The margins and lambda_nce are TrainConfig fields, checked by its validate.
+its best frame. `branch_loss` adds the two levels on one branch's sets;
+it is the objective that training and grad-check differentiate. Warmup
+is the video objective with ambiguous sets forced empty. Exponentials use
+raw cosine scores; empty sets add exact zeros. The margins and lambda_nce
+are TrainConfig fields, checked by its validate.
 
 Scores may carry leading probe axes, (*probes, b, b) and (*probes, b, b,
 L_v), as grad-check's probe-batched forward gives them; training passes
@@ -26,7 +28,6 @@ probes.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,26 +36,9 @@ from .ambiguity import AmbiguitySets, FrameSets, batch_slots
 from .config import TrainConfig
 
 __all__ = [
-    "LossBreakdown", "loss_nce_slots",
-    "loss_triplet", "loss_video", "loss_frame", "loss_warmup",
-    "forced_negative_sets", "grand_total",
+    "loss_nce_slots", "loss_triplet", "loss_video", "loss_frame", "branch_loss",
+    "loss_warmup", "forced_negative_sets",
 ]
-
-
-@dataclass
-class LossBreakdown:
-    nce_t2v: float
-    nce_v2t: float
-    trip_a: float
-    trip_n: float
-    video_total: float
-    frame_total: float
-    grand_total: float
-
-
-def _scalar(x):
-    """Extract a python float from a Var/ndarray scalar."""
-    return float(np.asarray(ad.val(x)))
 
 
 def _contrast(e_pos, e, amb, neg, axis):
@@ -189,6 +173,19 @@ def loss_frame(frame_sims, frames: FrameSets, cfg: TrainConfig):
     return {"nce": nce, "trip_a": trip_a, "trip_n": trip_n, "total": total}
 
 
+def branch_loss(frame_sims, scores, sets, cfg: TrainConfig):
+    """One branch's objective on `sets`, (video sets, frame sets or None):
+    the video level plus, given frame sets, the frame level. Returns
+    (total, video parts, frame parts); without frame sets the frame parts
+    are {"total": 0.0}. Training and grad-check differentiate this total.
+    """
+    video_sets, frame_sets = sets
+    video = loss_video(scores, video_sets, cfg)
+    frame = (loss_frame(frame_sims, frame_sets, cfg) if frame_sets is not None
+             else {"total": 0.0})
+    return ad.add(video["total"], frame["total"]), video, frame
+
+
 def forced_negative_sets(batch) -> AmbiguitySets:
     """Video-level sets with every non-positive slot treated as negative."""
     pos = batch_slots(batch)[2]
@@ -198,19 +195,3 @@ def forced_negative_sets(batch) -> AmbiguitySets:
 def loss_warmup(scores, batch, cfg: TrainConfig):
     """Warmup objective: the video objective with ambiguity forced empty."""
     return loss_video(scores, forced_negative_sets(batch), cfg)
-
-
-def grand_total(video_parts, frame_parts):
-    return ad.add(video_parts["total"], frame_parts["total"])
-
-
-def breakdown(video_parts, frame_parts) -> LossBreakdown:
-    return LossBreakdown(
-        nce_t2v=_scalar(video_parts["nce_t2v"]),
-        nce_v2t=_scalar(video_parts["nce_v2t"]),
-        trip_a=_scalar(video_parts["trip_a"]),
-        trip_n=_scalar(video_parts["trip_n"]),
-        video_total=_scalar(video_parts["total"]),
-        frame_total=_scalar(frame_parts["total"]),
-        grand_total=_scalar(video_parts["total"]) + _scalar(frame_parts["total"]),
-    )

@@ -5,7 +5,10 @@ data order) train side by side. After the warmup epochs, each branch
 rescores the corpus into uncertainty tables and thresholds at the start
 of every epoch from its own parameters; per batch each branch
 detects ambiguity sets with its own live scores, and with cross_model
-enabled the branches swap sets before computing their losses. Updates
+enabled the branches swap sets before computing their losses. The
+swapped frame sets carry the frame anchor k^, the peer's best frame, so
+each branch's frame objective raises the frame its peer ranks best.
+Each branch's loss is `losses.branch_loss` on the sets it uses. Updates
 are simultaneous within a batch.
 
 All randomness is derived statelessly from (seed, purpose, epoch), so a
@@ -15,7 +18,7 @@ optimizer moments to reproduce the remaining trajectory exactly.
 
 import math
 import struct
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,8 +29,7 @@ from .corpus import FeatureCorpus, _atomic_open, _read_exact
 from .encoder import (EncoderDims, EncoderParams, _param_specs, collect_tape, encode_text,
                       encode_video, wrap_params)
 from .errors import ConfigError, DimensionError, FormatError, NumericalError
-from .losses import (LossBreakdown, breakdown, forced_negative_sets, grand_total,
-                     loss_frame, loss_video)
+from .losses import branch_loss, forced_negative_sets
 from .similarity import cosine_pairs
 
 CKPT_MAGIC = b"PRVK"
@@ -37,8 +39,8 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 # Logged per branch as means over an epoch's batches: the loss components,
 # then the detected-set sizes per pair.
-_SUM_COLUMNS = tuple(f.name for f in fields(LossBreakdown)) + (
-    "amb_videos", "neg_videos", "amb_frames")
+_SUM_COLUMNS = ("nce_t2v", "nce_v2t", "trip_a", "trip_n", "video_total", "frame_total",
+                "grand_total", "amb_videos", "neg_videos", "amb_frames")
 LOG_COLUMNS = ("epoch", "branch", "phase", "tau_s", "tau_u") + _SUM_COLUMNS
 
 
@@ -126,34 +128,6 @@ def _adam_update(branch: BranchState, tape, cfg: TrainConfig):
         branch.params.tensors[name] -= cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _update(branch: BranchState, wrapped, frame_sims, scores, sets, cfg: TrainConfig):
-    """The per-branch update body shared by step and train: loss on `sets`
-    from the branch's forward, finiteness check, tape, Adam step."""
-    video_sets, frame_sets = sets
-    video_parts = loss_video(scores, video_sets, cfg)
-    frame_parts = (loss_frame(frame_sims, frame_sets, cfg)
-                   if frame_sets is not None else {"total": 0.0})
-    total = grand_total(video_parts, frame_parts)
-    if not np.isfinite(ad.val(total)):
-        raise NumericalError("non-finite training loss")
-    tape = collect_tape(wrapped, total)
-    _adam_update(branch, tape, cfg)
-    return breakdown(video_parts, frame_parts), tape
-
-
-def step(corpus: FeatureCorpus, pairs, sets, branch: BranchState, cfg: TrainConfig):
-    """One optimizer step for one branch on the given (possibly peer) sets.
-
-    sets is (video_sets, frame_sets_or_None); frame_sets None skips the
-    frame objective. Returns (LossBreakdown, tape), the tape a dict of
-    per-parameter gradients; the branch's parameters are updated in place.
-    """
-    wrapped = wrap_params(branch.params)
-    frame_sims, scores, _ = _forward_batch(wrapped, corpus.text_features, corpus.video_features,
-                                           pairs)
-    return _update(branch, wrapped, frame_sims, scores, sets, cfg)
-
-
 def _epoch_batches(n_q, cfg: TrainConfig, epoch: int):
     perm = _epoch_rng(cfg.seed, epoch).permutation(n_q)
     n_full = n_q // cfg.batch_size
@@ -213,13 +187,21 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
             for b_i, (branch, (wrapped, frame_sims, scores)) in enumerate(zip(branches, fwd)):
                 use = detected[1 - b_i] if (lad_active and cfg.cross_model) else detected[b_i]
                 try:
-                    bd, _ = _update(branch, wrapped, frame_sims, scores, use, cfg)
+                    total, video, frame = branch_loss(frame_sims, scores, use, cfg)
+                    if not np.isfinite(ad.val(total)):
+                        raise NumericalError("non-finite training loss")
+                    _adam_update(branch, collect_tape(wrapped, total), cfg)
                 except NumericalError as exc:
                     raise NumericalError(f"{exc} at epoch {epoch} batch {bi}") from exc
 
                 s = sums[b_i]
-                for k, v in vars(bd).items():
-                    s[k] += v
+                for k, x in zip(_SUM_COLUMNS, map(ad.val, (
+                        video["nce_t2v"], video["nce_v2t"], video["trip_a"], video["trip_n"],
+                        video["total"], frame["total"], total))):
+                    s[k] += float(x)
+                # the loss graph reaches back through the branch's whole forward;
+                # held, it would keep this batch's forward into the next update
+                del total, video, frame
                 own_v, own_f = detected[b_i]
                 b = len(pairs)
                 s["amb_videos"] += float(own_v.amb.sum()) / b
@@ -227,14 +209,13 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
                 if own_f is not None:
                     s["amb_frames"] += float(own_f.amb_frame_mask.sum()) / b
 
-        n_b = max(len(batches), 1)
         for b_i, name in enumerate(("theta", "phi")):
             _, thr = epoch_ctx[b_i]
             row = {"epoch": epoch, "branch": name,
                    "phase": "arl" if lad_active else "warmup",
                    "tau_s": thr.tau_s if thr else None,
                    "tau_u": thr.tau_u if thr else None}
-            row.update({k: v / n_b for k, v in sums[b_i].items()})
+            row.update({k: v / len(batches) for k, v in sums[b_i].items()})
             log_rows.append(row)
         state.epoch = epoch
 

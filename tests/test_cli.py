@@ -228,54 +228,67 @@ def test_rejected_train_leaves_no_new_directory(tmp_path, spec_file, train_file,
     assert not (tmp_path / "newrun").exists()
 
 
-def test_train_out_naming_a_file_exits_3_before_training(tmp_path, spec_file, train_file,
-                                                         capsys, monkeypatch):
+def _train_to(out, tmp_path, spec_file, train_file, capsys, monkeypatch):
+    """Run train with --out `out` and train itself replaced; returns the
+    exit code, the stderr lines and the calls that reached train."""
     import prvr.cli as cli
 
     corpus_path = str(tmp_path / "c.prvc")
     assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
     capsys.readouterr()
-    out = tmp_path / "run"
-    out.write_text("not a directory\n")
     trained = []
     monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
-    assert main(["train", "--corpus", corpus_path, "--config", train_file,
-                 "--out", str(out)]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
+    code = main(["train", "--corpus", corpus_path, "--config", train_file, "--out", out])
+    return code, capsys.readouterr().err.strip().splitlines(), trained
+
+
+def test_train_out_naming_a_file_exits_3_before_training(tmp_path, spec_file, train_file,
+                                                         capsys, monkeypatch):
+    out = tmp_path / "run"
+    out.write_text("not a directory\n")
+    code, err, trained = _train_to(str(out), tmp_path, spec_file, train_file, capsys,
+                                   monkeypatch)
+    assert code == 3
     assert err == [f"prvr: config-error: --out is not a directory: {out}"]
     assert trained == [] and out.read_text() == "not a directory\n"
 
 
 def test_train_out_below_a_file_exits_3_before_training(tmp_path, spec_file, train_file,
                                                         capsys, monkeypatch):
-    import prvr.cli as cli
-
-    corpus_path = str(tmp_path / "c.prvc")
-    assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
-    capsys.readouterr()
     (tmp_path / "afile").write_text("not a directory\n")
     out = tmp_path / "afile" / "run"
-    trained = []
-    monkeypatch.setattr(cli, "train", lambda *args: trained.append(args))
-    assert main(["train", "--corpus", corpus_path, "--config", train_file,
-                 "--out", str(out)]) == 3
-    err = capsys.readouterr().err.strip().splitlines()
+    code, err, trained = _train_to(str(out), tmp_path, spec_file, train_file, capsys,
+                                   monkeypatch)
+    assert code == 3
     assert err == [f"prvr: config-error: --out is not a directory: {out}"]
     assert trained == []
 
 
+def test_train_out_empty_exits_3_before_training(tmp_path, spec_file, train_file,
+                                                 capsys, monkeypatch):
+    # abspath("") is the working directory, which exists
+    monkeypatch.chdir(tmp_path)
+    before = [p.name for p in tmp_path.iterdir()] + ["c.prvc"]
+    code, err, trained = _train_to("", tmp_path, spec_file, train_file, capsys, monkeypatch)
+    assert code == 3
+    assert err == ["prvr: config-error: --out is empty"]
+    assert trained == [] and sorted(p.name for p in tmp_path.iterdir()) == sorted(before)
+
+
 # an --out of evaluate, audit or gen-corpus that cannot be written, and its message
 _BAD_FILE_OUTS = [
-    pytest.param("missing-dir/x", "--out's parent is not a directory", id="missing-parent"),
-    pytest.param("afile/x", "--out's parent is not a directory", id="below-a-file"),
-    pytest.param("adir", "--out is a directory", id="a-directory"),
+    pytest.param("missing-dir/x", "--out's parent is not a directory: {out}",
+                 id="missing-parent"),
+    pytest.param("afile/x", "--out's parent is not a directory: {out}", id="below-a-file"),
+    pytest.param("adir", "--out is a directory: {out}", id="a-directory"),
+    pytest.param("", "--out is empty", id="empty"),
 ]
 
 
 def _bad_file_out(tmp_path, rel):
     (tmp_path / "afile").write_text("not a directory\n")
     (tmp_path / "adir").mkdir()
-    return tmp_path / rel
+    return str(tmp_path / rel) if rel else ""
 
 
 @pytest.mark.parametrize("rel,message", _BAD_FILE_OUTS)
@@ -286,9 +299,9 @@ def test_gen_corpus_bad_out_exits_3_before_generating(tmp_path, spec_file, capsy
     out = _bad_file_out(tmp_path, rel)
     generated = []
     monkeypatch.setattr(cli, "generate_synthetic", lambda *a, **kw: generated.append(a))
-    assert main(["gen-corpus", "--spec", spec_file, "--out", str(out)]) == 3
+    assert main(["gen-corpus", "--spec", spec_file, "--out", out]) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"prvr: io-error: {message}: {out}"]
+    assert err == ["prvr: io-error: " + message.format(out=out)]
     assert generated == []
 
 
@@ -447,9 +460,9 @@ def test_scoring_bad_out_exits_3_before_scoring(tmp_path, spec_file, train_file,
     monkeypatch.setattr(cli, command, lambda *args: scored.append(args))
     capsys.readouterr()
     assert main([command, "--checkpoint", ckpt, "--corpus", corpus_path,
-                 "--out", str(out)]) == 3
+                 "--out", out]) == 3
     err = capsys.readouterr().err.strip().splitlines()
-    assert err == [f"prvr: io-error: {message}: {out}"]
+    assert err == ["prvr: io-error: " + message.format(out=out)]
     assert scored == []
 
 
@@ -537,18 +550,18 @@ def test_failed_write_keeps_earlier_output(tmp_path, spec_file, train_file, caps
 
 
 def test_nonfinite_loss_exits_4(tmp_path, spec_file, train_file, capsys, monkeypatch):
-    import prvr.trainer as trainer
+    import prvr.losses as losses
     from prvr import autodiff as ad
 
     corpus_path = str(tmp_path / "c.prvc")
     assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
-    real = trainer.loss_video
+    real = losses.loss_video
 
     def nan_loss(scores, sets, cfg):
         parts = real(scores, sets, cfg)
         parts["total"] = ad.add(parts["total"], float("nan"))
         return parts
-    monkeypatch.setattr(trainer, "loss_video", nan_loss)
+    monkeypatch.setattr(losses, "loss_video", nan_loss)
     capsys.readouterr()
     assert main(["train", "--corpus", corpus_path, "--config", train_file,
                  "--out", str(tmp_path / "run")]) == 4

@@ -10,7 +10,7 @@ from prvr.ambiguity import (AmbiguitySets, FrameSets, Thresholds, UncertaintyTab
                             detect_frame_ambiguity, detect_video_ambiguity)
 from prvr.config import TrainConfig
 from prvr.errors import ConfigError
-from prvr.losses import (forced_negative_sets, grand_total, loss_frame, loss_nce_slots,
+from prvr.losses import (branch_loss, forced_negative_sets, loss_frame, loss_nce_slots,
                          loss_triplet, loss_video, loss_warmup)
 
 
@@ -337,7 +337,7 @@ def test_margin_hierarchy_enforced():
     TrainConfig(margin_m=0.2, margin_ma=0.1).validate()
 
 
-def test_grand_total_is_sum_of_levels():
+def test_branch_loss_total_is_sum_of_levels():
     rng = np.random.default_rng(15)
     b, l_v = 3, 4
     cfg = TrainConfig()
@@ -345,9 +345,12 @@ def test_grand_total_is_sum_of_levels():
     frame_sims = rng.uniform(-1, 1, size=(b, b, l_v))
     sets = sets_from_masks(distinct_batch(b), rng.random((b, b)) < 0.5)
     fsets = make_frame_sets(distinct_batch(b), frame_sims, tau_s=0.0, tau_u=-1.0)
-    vp = loss_video(scores, sets, cfg)
-    fp = loss_frame(frame_sims, fsets, cfg)
-    assert grand_total(vp, fp) == pytest.approx(vp["total"] + fp["total"], abs=1e-15)
+    total, vp, fp = branch_loss(frame_sims, scores, (sets, fsets), cfg)
+    assert vp == loss_video(scores, sets, cfg) and fp == loss_frame(frame_sims, fsets, cfg)
+    assert total == pytest.approx(vp["total"] + fp["total"], abs=1e-15)
+    # without frame sets the objective is the video level alone
+    total, vp, fp = branch_loss(frame_sims, scores, (sets, None), cfg)
+    assert fp == {"total": 0.0} and total == vp["total"]
 
 
 def test_duplicate_videos_in_batch_are_masked_as_positives():

@@ -14,9 +14,11 @@ _spec.loader.exec_module(same_outputs)
 def test_checkout_against_itself_at_smoke_scale(tmp_path, capsys):
     assert same_outputs.main([str(ROOT), str(ROOT), "--smoke", "--work", str(tmp_path)]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    # 4 corpora (file + stdout each), 6 cases (5 files + 3 stdouts each) and
-    # the grad-check stdout
-    assert out == ["57 outputs compared: 0 differ, 0 commands failed"]
+    lines = sum(len(p.read_text().splitlines()) for p in (ROOT / "src" / "prvr").glob("*.py"))
+    # the src/ line count of both sides, then the verdict: 4 corpora (file +
+    # stdout each), 6 cases (5 files + 3 stdouts each) and the grad-check stdout
+    assert out == [f"src/prvr/*.py lines: a {lines}, b {lines}",
+                   "57 outputs compared: 0 differ, 0 commands failed"]
     stdouts = ("train.stdout", "evaluate.stdout", "audit.stdout")
     for side in ("a", "b"):
         for name in ("arl-11", "warm-11", "arl-12", "warm-12"):

@@ -1,6 +1,5 @@
 """Training-loop contracts: isolation, determinism, resume, symmetry."""
 
-import copy
 import re
 import struct
 from dataclasses import fields
@@ -8,14 +7,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from prvr import autodiff as ad
 from prvr.corpus import CorpusSpec, generate_synthetic
-from prvr.encoder import EncoderParams
+from prvr.encoder import EncoderParams, collect_tape, wrap_params
 from prvr.errors import ConfigError, FormatError, NumericalError
-from prvr.trainer import (AdamState, BranchState, TrainConfig, _epoch_batches, checkpoint,
-                          init_state, resume, step, train)
-from prvr.losses import forced_negative_sets
-from prvr.ambiguity import (Thresholds, UncertaintyTables, detect_frame_ambiguity,
-                            detect_video_ambiguity)
+from prvr.trainer import (AdamState, BranchState, TrainConfig, _epoch_batches, _forward_batch,
+                          checkpoint, init_state, resume, train)
+from prvr.losses import branch_loss, forced_negative_sets, loss_video
+from prvr.ambiguity import Thresholds, UncertaintyTables, detect_video_ambiguity
 
 
 def make_corpus(n_q=12, n_v=6, seed=5, **kw):
@@ -131,12 +130,12 @@ def test_step_zero_learning_rate_keeps_params():
     cfg = make_cfg(learning_rate=0.0)
     state = init_state(corpus, cfg)
     before = params_bytes(state.theta)
-    pairs = [(i, int(corpus.pairing[i])) for i in range(4)]
-    bd, tape = step(corpus, pairs, (forced_negative_sets(pairs), None), state.theta, cfg)
+    state, log = train(corpus, state=state)
     assert params_bytes(state.theta) == before
-    assert np.isfinite(bd.grand_total)
-    assert bd.grand_total > 0
-    assert max(np.abs(g).max() for g in tape.values()) > 0
+    assert state.theta.adam.t == cfg.epochs * len(_epoch_batches(corpus.n_q, cfg, 1))
+    assert all(np.isfinite(row["grand_total"]) and row["grand_total"] > 0 for row in log)
+    # the first moment averages the gradients: nonzero moments, nonzero steps
+    assert max(np.abs(m).max() for m in state.theta.adam.m.values()) > 0
 
 
 def test_step_updates_params_and_reports_breakdown():
@@ -144,28 +143,29 @@ def test_step_updates_params_and_reports_breakdown():
     cfg = make_cfg()
     state = init_state(corpus, cfg)
     before = params_bytes(state.theta)
-    pairs = [(i, int(corpus.pairing[i])) for i in range(4)]
-    bd, _ = step(corpus, pairs, (forced_negative_sets(pairs), None), state.theta, cfg)
+    state, log = train(corpus, state=state)
     assert params_bytes(state.theta) != before
-    assert bd.video_total == pytest.approx(
-        cfg.lambda_nce * (bd.nce_t2v + bd.nce_v2t) + bd.trip_a + bd.trip_n, abs=1e-12)
+    for row in log:
+        assert row["video_total"] == pytest.approx(
+            cfg.lambda_nce * (row["nce_t2v"] + row["nce_v2t"]) + row["trip_a"] + row["trip_n"],
+            abs=1e-12)
+        assert row["grand_total"] == pytest.approx(row["video_total"] + row["frame_total"],
+                                                   abs=1e-12)
+    assert any(row["frame_total"] > 0 for row in log if row["phase"] == "arl")
 
 
-def test_step_gradient_matches_finite_differences_two_pair_batch():
+def test_branch_loss_gradient_matches_finite_differences_two_pair_batch():
     corpus = make_corpus(n_q=4, n_v=4, l_q=2, l_v=3, d_t=5, d_v=6)
     cfg = make_cfg(batch_size=2, embed_dim=6)
-    state = init_state(corpus, cfg)
+    params = init_state(corpus, cfg).theta.params
     pairs = [(0, int(corpus.pairing[0])), (1, int(corpus.pairing[1]))]
     sets = (forced_negative_sets(pairs), None)
-
-    frozen = copy.deepcopy(state.theta.params)
-    _, tape = step(corpus, pairs, sets, state.theta, cfg)
-
-    from prvr import autodiff as ad
-    from prvr.losses import grand_total, loss_video
-    from prvr.trainer import _forward_batch
     text64 = corpus.text_features.astype(np.float64)
     video64 = corpus.video_features.astype(np.float64)
+
+    wrapped = wrap_params(params)
+    frame_sims, scores, _ = _forward_batch(wrapped, text64, video64, pairs)
+    tape = collect_tape(wrapped, branch_loss(frame_sims, scores, sets, cfg)[0])
 
     def loss_at(params):
         _, scores, _ = _forward_batch(params, text64, video64, pairs)
@@ -174,15 +174,15 @@ def test_step_gradient_matches_finite_differences_two_pair_batch():
     rng = np.random.default_rng(0)
     h = 1e-5
     checked = 0
-    for name in frozen.names():
-        flat = frozen.tensors[name].reshape(-1)
+    for name in params.names():
+        flat = params.tensors[name].reshape(-1)
         g_flat = tape[name].reshape(-1)
         for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             orig = flat[idx]
             flat[idx] = orig + h
-            fp = loss_at(frozen)
+            fp = loss_at(params)
             flat[idx] = orig - h
-            fm = loss_at(frozen)
+            fm = loss_at(params)
             flat[idx] = orig
             fd = (fp - fm) / (2 * h)
             assert abs(g_flat[idx] - fd) / max(1.0, abs(fd)) < 1e-4
@@ -190,7 +190,7 @@ def test_step_gradient_matches_finite_differences_two_pair_batch():
     assert checked > 30
 
 
-def test_step_with_different_sets_changes_loss():
+def test_branch_loss_with_different_sets_changes_loss():
     corpus = make_corpus()
     cfg = make_cfg()
     state = init_state(corpus, cfg)
@@ -200,19 +200,78 @@ def test_step_with_different_sets_changes_loss():
     tables = UncertaintyTables(u_q=np.full(corpus.n_q, 0.5),
                                u_v=np.full((corpus.n_v, corpus.l_v), 0.5))
     low = Thresholds(tau_s=-0.99, tau_u=0.0)
-    from prvr.trainer import _forward_batch
-    from prvr import autodiff as ad
     frame_sims, scores, best = _forward_batch(
         state.theta.params, corpus.text_features.astype(np.float64),
         corpus.video_features.astype(np.float64), pairs)
     amb_sets = detect_video_ambiguity(pairs, scores, best, tables, low)
     assert amb_sets.amb.any()
 
-    s1 = init_state(corpus, cfg)
-    bd_neg, _ = step(corpus, pairs, (all_neg, None), s1.theta, cfg)
-    s2 = init_state(corpus, cfg)
-    bd_amb, _ = step(corpus, pairs, (amb_sets, None), s2.theta, cfg)
-    assert bd_neg.grand_total != bd_amb.grand_total
+    neg_total = branch_loss(frame_sims, scores, (all_neg, None), cfg)[0]
+    amb_total = branch_loss(frame_sims, scores, (amb_sets, None), cfg)[0]
+    assert neg_total != amb_total
+
+
+# --- what each branch trains on ---------------------------------------------
+
+def _train_capturing_losses(monkeypatch, corpus, cfg):
+    """Train, capturing every branch_loss call as (frame cosines, scores,
+    sets), theta's then phi's per batch, and every detect_video_ambiguity
+    call as (scores, sets)."""
+    import prvr.trainer as trainer
+
+    losses, detected = [], []
+    real_loss, real_detect = trainer.branch_loss, trainer.detect_video_ambiguity
+
+    def loss(frame_sims, scores, sets, cfg):
+        losses.append((np.array(ad.val(frame_sims)), np.array(ad.val(scores)), sets))
+        return real_loss(frame_sims, scores, sets, cfg)
+
+    def detect(pairs, scores, best, tables, thr):
+        sets = real_detect(pairs, scores, best, tables, thr)
+        detected.append((np.array(scores), sets))
+        return sets
+    monkeypatch.setattr(trainer, "branch_loss", loss)
+    monkeypatch.setattr(trainer, "detect_video_ambiguity", detect)
+    train(corpus, cfg)
+    return losses, detected
+
+
+@pytest.mark.parametrize("cross_model", (True, False))
+def test_lad_batch_trains_on_the_peer_sets_only_under_cross_model(monkeypatch, cross_model):
+    # under cross_model each branch's frame anchor k^ must be the peer's
+    # best frame, and its video sets the peer's detection; without it, both
+    # come from the branch's own forward
+    corpus = make_corpus()
+    cfg = make_cfg(cross_model=cross_model)
+    losses, detected = _train_capturing_losses(monkeypatch, corpus, cfg)
+    per_epoch = 2 * len(_epoch_batches(corpus.n_q, cfg, 1))
+    lad = losses[per_epoch * cfg.warmup_epochs:]
+    assert len(losses) == per_epoch * cfg.epochs and lad
+
+    def best_frames(frame_sims):
+        slots = np.arange(len(frame_sims))
+        return np.argmax(frame_sims[slots, slots], axis=-1)
+
+    def detection(scores):
+        (sets,) = [s for sc, s in detected if np.array_equal(sc, scores)]
+        return sets
+
+    anchors_differ = sets_differ = False
+    for k in range(0, len(lad), 2):
+        batch = lad[k:k + 2]
+        for b_i, (own_frames, own_scores, (vsets, fsets)) in enumerate(batch):
+            src_frames, src_scores, _ = batch[1 - b_i] if cross_model else batch[b_i]
+            np.testing.assert_array_equal(fsets.best_frame, best_frames(src_frames))
+            src = detection(src_scores)
+            np.testing.assert_array_equal(vsets.pos, src.pos)
+            np.testing.assert_array_equal(vsets.amb, src.amb)
+            peer_frames, peer_scores, _ = batch[1 - b_i]
+            anchors_differ |= not np.array_equal(best_frames(own_frames),
+                                                 best_frames(peer_frames))
+            sets_differ |= not np.array_equal(detection(own_scores).amb,
+                                              detection(peer_scores).amb)
+    # the run tells own from peer sets at least once at each level
+    assert anchors_differ and sets_differ
 
 
 def test_checkpoint_resume_round_trip(tmp_path):
@@ -291,33 +350,31 @@ def test_batch_size_larger_than_corpus_rejected():
         train(corpus, make_cfg(batch_size=8))
 
 
-# --- the non-finite path through the shared update -------------------------
+# --- the non-finite path through train's update -----------------------------
 
 def _nan_total(monkeypatch, loss_name):
-    """Make trainer's `loss_name` return a NaN total (the gradient stays finite)."""
-    import prvr.trainer as trainer
-    from prvr import autodiff as ad
+    """Make `loss_name`, as branch_loss looks it up, return a NaN total (the
+    gradient stays finite)."""
+    import prvr.losses as losses
 
-    real = getattr(trainer, loss_name)
+    real = getattr(losses, loss_name)
 
     def nan_loss(*args):
         parts = real(*args)
         parts["total"] = ad.add(parts["total"], float("nan"))
         return parts
-    monkeypatch.setattr(trainer, loss_name, nan_loss)
+    monkeypatch.setattr(losses, loss_name, nan_loss)
 
 
 def test_nonfinite_loss_aborts_step_without_update(monkeypatch):
     corpus = make_corpus()
-    cfg = make_cfg()
-    state = init_state(corpus, cfg)
-    before = params_bytes(state.theta)
-    pairs = [(i, int(corpus.pairing[i])) for i in range(4)]
+    state = init_state(corpus, make_cfg())
+    before = params_bytes(state.theta), params_bytes(state.phi)
     _nan_total(monkeypatch, "loss_video")
-    with pytest.raises(NumericalError, match="non-finite training loss"):
-        step(corpus, pairs, (forced_negative_sets(pairs), None), state.theta, cfg)
-    assert params_bytes(state.theta) == before
-    assert state.theta.adam.t == 0
+    with pytest.raises(NumericalError, match="non-finite training loss at epoch 1 batch 0$"):
+        train(corpus, state=state)
+    assert (params_bytes(state.theta), params_bytes(state.phi)) == before
+    assert state.theta.adam.t == 0 and state.phi.adam.t == 0
 
 
 @pytest.mark.parametrize("loss_name, epoch", (("loss_video", 1), ("loss_frame", 3)))

@@ -18,8 +18,9 @@ Every output file is compared byte for byte, and every command's stdout
 with the checkout and work paths masked. Each masked stdout is also
 written to `<case>/<command>.stdout` beside the case's outputs, and
 grad-check's to `grad-check.stdout`, so with --work DIR both are kept
-under DIR/a and DIR/b. Exit 0 when all are equal, 1 on any difference or
-failed command, 2 on bad arguments.
+under DIR/a and DIR/b. Before the verdict it prints the line count of
+each checkout's `src/prvr/*.py`. Exit 0 when all are equal, 1 on any
+difference or failed command, 2 on bad arguments.
 """
 
 import argparse
@@ -119,6 +120,11 @@ def run_checkout(checkout, work, smoke):
     return outputs, failures
 
 
+def src_lines(checkout):
+    """Lines of the checkout's src/prvr/*.py, counted as `wc -l` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(checkout) / "src" / "prvr").glob("*.py"))
+
+
 def differences(a, b):
     """Names of the outputs that are missing on one side or differ."""
     return sorted(name for name in a.keys() | b.keys() if a.get(name) != b.get(name))
@@ -152,6 +158,7 @@ def main(argv=None):
         print(f"failed: {line}")
     for name in diff:
         print(f"differs: {name}")
+    print(f"src/prvr/*.py lines: a {src_lines(args.checkout_a)}, b {src_lines(args.checkout_b)}")
     print(f"{len(results[0])} outputs compared: {len(diff)} differ, {len(failures)} commands failed")
     return 1 if diff or failures else 0
 
