@@ -88,7 +88,13 @@ def div(a, b):
 
 
 def matmul(a, b):
+    """a @ b; against a shared 2-D weight b each VJP is one GEMM over the
+    rows of a and g flattened to 2-D, not one GEMM per leading index."""
     av, bv = val(a), val(b)
+    if bv.ndim == 2:
+        rows = lambda x: x.reshape(-1, x.shape[-1])
+        return node(av @ bv, (a, lambda g: (rows(g) @ bv.T).reshape(av.shape)),
+                    (b, lambda g: rows(av).T @ rows(g)))
     return node(av @ bv, (a, lambda g: g @ np.swapaxes(bv, -1, -2)),
                 (b, lambda g: np.swapaxes(av, -1, -2) @ g))
 

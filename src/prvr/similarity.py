@@ -3,17 +3,17 @@
 The retrieval score of a (query, video) pair is the maximum frame cosine;
 the dataset-wide map M holds every query x frame cosine.
 
-Every returned cosine is an elementwise multiply + pairwise sum over the
-last axis (`_mul_sum`). numpy's pairwise reduction over the contiguous
-last axis is bitwise shape-independent, so every tiling, batch and chunk
-gives the same bits as a per-entry loop. GEMM does not have that
-property, and its bits also depend on the BLAS thread count, so a GEMM
-value never reaches an output. The kernel `_unit_dots` fills every
-cosine of a (query, frame) grid in (query, video) tiles; the training
-and grad-check forward (`cosine_pairs`) and `build_corpus_map` run it.
-Its operands are (..., n, d) and (..., m, L, d): leading axes on either
-side (grad-check's probe axis) broadcast to (..., n, m, L), and a tile
-takes every leading index of its pairs.
+Every cosine that reaches an output is an elementwise multiply +
+pairwise sum over the last axis (`_mul_sum`). numpy's pairwise reduction
+over the contiguous last axis is bitwise shape-independent, so every
+tiling and chunk gives the same bits as a per-entry loop. GEMM does not
+have that property, and its bits also depend on the BLAS thread count,
+so no GEMM value reaches an output. The training and grad-check forward
+(`cosine_pairs`) is the one exception: its kernel `_unit_dots` is one
+GEMM, as are its two VJPs. Its values only feed losses and the batch's
+detection, and a training batch is never split. Its operands are
+(..., n, d) and (..., m, L, d): leading axes on either side (grad-check's
+probe axis) broadcast to (..., n, m, L) through np.matmul.
 
 Corpus scoring never holds the whole map and computes almost no cosine
 elementwise. `score_corpus` encodes each side in chunks and walks
@@ -44,9 +44,9 @@ from . import autodiff as ad
 from .encoder import encode_text, encode_video
 from .errors import NumericalError
 
-# The one byte budget: of the kernel's product buffer, of each of
-# score_corpus's two tile buffers and of its encode chunks; row and tile
-# counts derive from it.
+# The one byte budget: of each of score_corpus's two tile buffers and of
+# the widest intermediate of its encode chunks; row and tile counts derive
+# from it.
 _TILE_BYTES = 1 << 20
 
 
@@ -92,30 +92,18 @@ def _unit_dots(qu, fu):
     """Dots (..., n, m, L) between unit queries (..., n, d) and unit frames
     (..., m, L, d), whose leading axes broadcast (grad-check's probes).
 
-    The forward runs over (query, video) tiles through one reused buffer
-    of about _TILE_BYTES; a tile takes every leading index of its pairs.
-    Each dot is the same pairwise sum over d as in the whole product, so
-    every tiling and leading shape gives the same bits. The backward
-    contracts the output gradient against the other operand with einsum
-    instead of materializing the (..., n, m, L, d) product.
+    One GEMM of the queries against the m * L frames, and one GEMM per
+    VJP. The values carry GEMM bits, so only the training and grad-check
+    forward runs it; every output cosine is a `_mul_sum`.
     """
     qv, fv = ad.val(qu), ad.val(fu)
-    (n_q, d), (n_v, l_v) = qv.shape[-2:], fv.shape[-3:-1]
-    lead = np.broadcast_shapes(qv.shape[:-2], fv.shape[:-3])
-    pair = math.prod(lead) * l_v * d * 8    # product bytes of a pair at every leading index
-    tv = max(1, min(n_v, _TILE_BYTES // pair))
-    tq = max(1, min(n_q, _TILE_BYTES // (tv * pair)))
-    buf = np.empty(tq * tv * pair // 8)
-    out = np.empty(lead + (n_q, n_v, l_v))
-    for x0 in range(0, n_q, tq):
-        q = qv[..., x0:x0 + tq, None, None, :]
-        for y0 in range(0, n_v, tv):
-            f = fv[..., None, y0:y0 + tv, :, :]
-            shape = np.broadcast_shapes(q.shape, f.shape)
-            _mul_sum(q, f, buf[:math.prod(shape)].reshape(shape),
-                     out[..., x0:x0 + tq, y0:y0 + tv, :])
-    return ad.node(out, (qu, lambda g: np.einsum("...xyk,...ykd->...xd", g, fv, optimize=False)),
-                   (fu, lambda g: np.einsum("...xyk,...xd->...ykd", g, qv, optimize=False)))
+    m, l_v, d = fv.shape[-3:]
+    frames = fv.reshape(fv.shape[:-3] + (m * l_v, d))
+    flat = lambda g: g.reshape(g.shape[:-2] + (m * l_v,))
+    out = qv @ np.swapaxes(frames, -1, -2)
+    return ad.node(out.reshape(out.shape[:-1] + (m, l_v)), (qu, lambda g: flat(g) @ frames),
+                   (fu, lambda g: (np.swapaxes(flat(g), -1, -2) @ qv).reshape(
+                       g.shape[:-3] + (m, l_v, d))))
 
 
 def cosine_pairs(q_emb, frame_emb):
@@ -129,10 +117,12 @@ def cosine_pairs(q_emb, frame_emb):
 
 
 def _unit_encode(encode, params, features):
-    """Unit embeddings of every row of features, encoded in chunks of about
-    _TILE_BYTES of features; the encoders and _unit work row by row, so
-    the bits do not depend on the chunk."""
-    rows = max(1, _TILE_BYTES // features[0].nbytes)
+    """Unit embeddings of every row of features, encoded in chunks whose
+    widest float64 intermediate (L x max(d, d_in, L) a row) takes about
+    _TILE_BYTES; the encoders and _unit work row by row, so the bits do
+    not depend on the chunk."""
+    l, d_in = features.shape[1:]
+    rows = max(1, _TILE_BYTES // (l * max(params.dims.d, d_in, l) * 8))
     return np.concatenate([_unit(encode(params, features[x0:x0 + rows]))
                            for x0 in range(0, len(features), rows)])
 
@@ -203,12 +193,13 @@ def score_corpus(params, corpus):
 def build_corpus_map(params, corpus) -> CorpusSimilarityMap:
     """The whole N_q x N_v x L_v cosine map, for tests and tools.
 
-    cosine_pairs of the same two encodes as score_corpus: every entry is
-    the pairwise sum that score_corpus returns for a pair's best frame, so
+    `_mul_sum` on the unit encodes score_corpus scores: every entry is the
+    pairwise sum that score_corpus returns for a pair's best frame, so
     reducing the map gives score_corpus's bits.
     """
-    return CorpusSimilarityMap(m=cosine_pairs(encode_text(params, corpus.text_features),
-                                              encode_video(params, corpus.video_features)))
+    qu = _unit_encode(encode_text, params, corpus.text_features)
+    fu = _unit_encode(encode_video, params, corpus.video_features)
+    return CorpusSimilarityMap(m=np.stack([_mul_sum(q, fu, np.empty_like(fu), None) for q in qu]))
 
 
 def map_retrieval_scores(sim_map: CorpusSimilarityMap):

@@ -175,8 +175,7 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
                                                          corpus.video_features, pairs)
                 fwd.append((wrapped, frame_sims, scores))
                 if lad_active:
-                    sval = np.asarray(ad.val(scores))
-                    vsets = (detect_video_ambiguity(pairs, sval, best, tables, thr)
+                    vsets = (detect_video_ambiguity(pairs, ad.val(scores), best, tables, thr)
                              if cfg.video_lad else forced_negative_sets(pairs))
                     fsets = (detect_frame_ambiguity(pairs, ad.val(frame_sims), tables, thr)
                              if cfg.frame_lad else None)
@@ -208,6 +207,8 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
                 s["neg_videos"] += float(own_v.neg.sum()) / b
                 if own_f is not None:
                     s["amb_frames"] += float(own_f.amb_frame_mask.sum()) / b
+            # held, this batch's graphs would outlive it into the next forwards
+            del fwd, wrapped, frame_sims, scores
 
         for b_i, name in enumerate(("theta", "phi")):
             _, thr = epoch_ctx[b_i]

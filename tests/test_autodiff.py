@@ -62,6 +62,17 @@ def test_matmul_right_operand():
     check(lambda v: ad.reduce_sum(ad.exp(ad.matmul(a, v))), rng.normal(size=(4, 2)))
 
 
+def test_matmul_shared_weight_vjps_equal_per_slice_sums():
+    # against a shared 2-D weight each VJP is one GEMM over the flattened
+    # rows; it equals per-slice products summed over the leading axes
+    r = np.random.default_rng(3)
+    a, w, g = r.normal(size=(2, 3, 4, 5)), r.normal(size=(5, 6)), r.normal(size=(2, 3, 4, 6))
+    (_, vjp_a), (_, vjp_w) = ad.matmul(ad.Var(a), ad.Var(w)).parents
+    want_w = sum(a[i, j].T @ g[i, j] for i in range(2) for j in range(3))
+    np.testing.assert_allclose(vjp_w(g), want_w, rtol=1e-12, atol=1e-13)
+    np.testing.assert_allclose(vjp_a(g), g @ w.T, rtol=1e-12, atol=1e-13)
+
+
 def test_exp_log_sqrt_relu():
     check(lambda v: ad.reduce_sum(ad.exp(v)), rng.normal(size=(3,)))
     check(lambda v: ad.reduce_sum(ad.log(ad.add(ad.mul(v, v), 1.0))), rng.normal(size=(3,)))
@@ -163,7 +174,7 @@ _CONTRACT = {
     "sub": (ad.sub, _BROADCAST),
     "mul": (ad.mul, _BROADCAST),
     "div": (ad.div, _BROADCAST),
-    "matmul": (ad.matmul, [((1, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5))]),
+    "matmul": (ad.matmul, [((1, 3, 4), (2, 4, 5)), ((2, 3, 4), (4, 5)), ((2, 3, 4, 5), (5, 6))]),
     "exp": (ad.exp, _UNARY),
     "log": (ad.log, _UNARY),
     "sqrt": (ad.sqrt, _UNARY),

@@ -1,13 +1,13 @@
 """Streamed corpus scoring and the cosine kernel against the oracles.
 
 similarity.score_corpus encodes in chunks and walks (query, video) tiles,
-picking candidate frames with one GEMM per tile; the cosine kernel, which
-the training forward shares, walks its own (query, video) tiles. All are
-sized by the one byte budget _TILE_BYTES, which is patched here to reach
-every chunk and tile edge. Cosines, scores, best frames (exact ties and
-near-ties included), tau_s and detected pairs match the oracle at
-tolerance 0; the closed-form uncertainty tables, and what is computed
-from them, within U_TOL.
+picking candidate frames with one GEMM per tile. Both are sized by the one
+byte budget _TILE_BYTES, which is patched here to reach every chunk and
+tile edge. Scores, best frames (exact ties and near-ties included), map
+cosines, tau_s and detected pairs match the oracle at tolerance 0; the
+closed-form uncertainty tables, and what is computed from them, within
+U_TOL. The training kernel, one GEMM that the budget does not reach,
+matches the oracle within the GEMM rounding bound.
 """
 
 import tracemalloc
@@ -57,16 +57,13 @@ def assert_close(got, want):
     assert np.abs(got - want).max() <= U_TOL
 
 
-# The byte budget from one (query, video) pair's kernel product bytes
-# (L_v * d * 8) and N_v. The corpora have N_q = 37 and d = 8. For the
-# kernel: budget 1 gives 1 x 1 tiles; 3 and 4 pairs one-row tiles of 3
-# and (ragged) 4 videos (N_v = 6); 2 * N_v and 4 * N_v pairs multi-row
-# query tiles, the last one ragged. For score_corpus, whose tiles take
-# (L_v + d) * 8 bytes a pair and whose encode chunks one feature row's
-# bytes: budget 1 gives 1 x 1 tiles (a GEMV) and one-row encode chunks;
-# 3, 4 and 2 * N_v pairs ragged query tiles and ragged encode chunks;
-# 4 * N_v pairs tiles ragged in queries and in videos. 2^30 gives one
-# tile and one chunk.
+# The byte budget from one (query, video) pair's bytes L_v * d * 8 and
+# N_v. The corpora have N_q = 37 and d = 8. score_corpus's tiles take
+# (L_v + d) * 8 bytes a pair and its encode chunks L * max(d, d_in, L) * 8
+# bytes a row: budget 1 gives 1 x 1 tiles (a GEMV) and one-row encode
+# chunks; 3, 4 and 2 * N_v pairs ragged query tiles and ragged query
+# chunks; 4 * N_v pairs tiles ragged in queries and in videos. 2^30 gives
+# one tile and one chunk.
 SIZES = {
     "one-row chunks": lambda pair, n_v: 1,
     "ragged last chunk": lambda pair, n_v: 3 * pair,
@@ -184,7 +181,8 @@ def test_gemm_error_stays_inside_half_the_candidate_tolerance(d):
 
 def test_scoring_working_set_stays_within_two_tile_budgets(monkeypatch):
     # ACCEPT shapes with precomputed embeddings, so only scoring allocates;
-    # the corpus's features are row indices into them
+    # the corpus's features are row indices into them, and params carries
+    # only the width that sizes the encode chunks
     n_q, n_v, l_v, d = 200, 100, 16, 48
     rng = np.random.default_rng(8)
     emb_q, emb_v = rng.normal(size=(n_q, d)), rng.normal(size=(n_v, l_v, d))
@@ -194,7 +192,7 @@ def test_scoring_working_set_stays_within_two_tile_budgets(monkeypatch):
                              video_features=np.arange(n_v).reshape(n_v, 1, 1))
     tracemalloc.start()
     try:
-        scores, best, _ = score_corpus(None, corpus)
+        scores, best, _ = score_corpus(SimpleNamespace(dims=SimpleNamespace(d=d)), corpus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -202,6 +200,28 @@ def test_scoring_working_set_stays_within_two_tile_budgets(monkeypatch):
     outputs = scores.nbytes + best.nbytes
     encodes = emb_q.nbytes + emb_v.nbytes
     assert peak - outputs - encodes < 2 * similarity._TILE_BYTES, (peak, outputs, encodes)
+
+
+@pytest.mark.parametrize("side", ("encode_text", "encode_video"))
+def test_unit_encode_peak_stays_within_a_few_tile_budgets(monkeypatch, side):
+    # encode chunks are sized by their widest float64 intermediate, about
+    # _TILE_BYTES; one chunk's encoder holds about eight intermediates that
+    # wide, and the chunks' list and their concatenation hold the output
+    # twice. Chunks sized by float32 feature bytes took 15-23 budgets more.
+    monkeypatch.setattr(similarity, "_TILE_BYTES", 1 << 16)
+    corpus = generate_synthetic(CorpusSpec(n_q=200, n_v=100, l_q=6, l_v=16, d_t=32, d_v=32,
+                                           seed=1, segments_per_video=4, ambiguity_rate=0.3,
+                                           noise_scale=0.35))
+    params = encoder.EncoderParams.initialize(encoder.EncoderDims(32, 32, 6, 16, 48), seed=3)
+    features = corpus.text_features if side == "encode_text" else corpus.video_features
+    tracemalloc.start()
+    try:
+        out = similarity._unit_encode(getattr(encoder, side), params, features)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape[0] == len(features)
+    assert peak - 2 * out.nbytes < 10 * similarity._TILE_BYTES, (peak, out.nbytes)
 
 
 @pytest.mark.parametrize("sizes", ("one-row chunks", "ragged video tiles"))
@@ -266,14 +286,19 @@ def test_scoring_memory_stays_below_the_map():
 
 @pytest.mark.parametrize("sizes", SIZES)
 def test_cosine_pairs_matches_rows_oracle(monkeypatch, sizes):
-    # the training forward runs the same tiles as corpus scoring
+    # the training kernel is one GEMM under every byte budget, so its bits
+    # do not move with _TILE_BYTES; each cosine lies within 2 (d + 2) eps
+    # of the oracle's pairwise sum, the GEMM bound score_corpus's tol derives
     rng = np.random.default_rng(6)
     q, f = rng.normal(size=(37, 8)), rng.normal(size=(6, 4, 8))
     n_v, l_v, d = f.shape
+    default = cosine_pairs(q, f)
     monkeypatch.setattr(similarity, "_TILE_BYTES", SIZES[sizes](l_v * d * 8, n_v))
+    got = cosine_pairs(q, f)
+    assert_bitwise(got, default)
+    assert_bitwise(ad.val(cosine_pairs(ad.Var(q), ad.Var(f))), got)
     want = np.stack([cosine_rows(row, f) for row in q])
-    assert_bitwise(cosine_pairs(q, f), want)
-    assert_bitwise(ad.val(cosine_pairs(ad.Var(q), ad.Var(f))), want)
+    assert np.abs(got - want).max() <= 2 * (d + 2) * np.finfo(np.float64).eps
 
 
 @pytest.mark.parametrize("traced", (False, True))

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -234,6 +235,35 @@ def _train_capturing_losses(monkeypatch, corpus, cfg):
     monkeypatch.setattr(trainer, "detect_video_ambiguity", detect)
     train(corpus, cfg)
     return losses, detected
+
+
+def test_train_frees_each_batch_forward_before_the_next(monkeypatch):
+    # a batch's forward graphs must be dead before the next batch's forwards
+    # and the next epoch's corpus scoring; weakrefs to the cosine and score
+    # arrays of every graph branch_loss saw tell whether anything holds them
+    import prvr.trainer as trainer
+
+    seen, checks = [], []
+    real_loss, real_forward, real_thresholds = (trainer.branch_loss, trainer._forward_batch,
+                                                trainer.corpus_thresholds)
+
+    def loss(frame_sims, scores, sets, cfg):
+        seen.extend(weakref.ref(ad.val(x)) for x in (frame_sims, scores))
+        return real_loss(frame_sims, scores, sets, cfg)
+
+    def all_dead(real):
+        def wrapped(*args):
+            checks.append(all(ref() is None for ref in seen))
+            return real(*args)
+        return wrapped
+    monkeypatch.setattr(trainer, "branch_loss", loss)
+    monkeypatch.setattr(trainer, "_forward_batch", all_dead(real_forward))
+    monkeypatch.setattr(trainer, "corpus_thresholds", all_dead(real_thresholds))
+    corpus, cfg = make_corpus(), make_cfg()
+    train(corpus, cfg)
+    forwards = 2 * cfg.epochs * len(_epoch_batches(corpus.n_q, cfg, 1))
+    assert len(checks) == forwards + 2 * (cfg.epochs - cfg.warmup_epochs)
+    assert all(checks)
 
 
 @pytest.mark.parametrize("cross_model", (True, False))
