@@ -21,7 +21,7 @@ class Var:
     """A node in the computation graph.
 
     parents is a tuple of (Var, vjp) pairs where vjp maps the output
-    gradient to that parent's gradient contribution.
+    gradient to that parent's contribution, which `backward` unbroadcasts.
     """
 
     __slots__ = ("value", "parents")
@@ -33,9 +33,6 @@ class Var:
     @property
     def shape(self):
         return self.value.shape
-
-    def __repr__(self):
-        return f"Var(shape={self.value.shape})"
 
 
 def val(x):
@@ -60,12 +57,12 @@ def node(out, *inputs):
     """`out` itself when no operand is a Var, else a Var of it.
 
     Each input is an (operand, vjp) pair; each Var operand, in argument
-    order, becomes a parent whose vjp result is summed to its shape.
+    order, becomes a parent with its vjp as given (`backward` unbroadcasts).
     """
     parents = []
     for x, vjp in inputs:
         if isinstance(x, Var):
-            parents.append((x, lambda g, f=vjp, s=x.value.shape: _unbroadcast(f(g), s)))
+            parents.append((x, vjp))
     return Var(out, tuple(parents)) if parents else out
 
 
@@ -205,16 +202,15 @@ def _topo_order(root):
 def backward(root):
     """Return {id(Var): gradient ndarray} for every node reachable from root.
 
-    root must be scalar-valued (shape ()).
+    root must be scalar-valued (shape ()); vjp results are summed to their parents' shapes.
     """
     if np.shape(root.value) != ():
         raise ValueError("backward expects a scalar root")
     grads = {id(root): np.ones((), dtype=np.float64)}
     for v in reversed(_topo_order(root)):
-        g = grads.get(id(v))
-        if g is None:
-            continue
+        g = grads[id(v)]  # set: every node in the order is reachable from root
         for parent, vjp in v.parents:
+            pg = _unbroadcast(vjp(g), parent.value.shape)
             prev = grads.get(id(parent))
-            grads[id(parent)] = vjp(g) if prev is None else prev + vjp(g)
+            grads[id(parent)] = pg if prev is None else prev + pg
     return grads

@@ -145,11 +145,6 @@ class FeatureCorpus:
         )
 
 
-def _unit_vector(rng, dim):
-    v = rng.normal(size=dim)
-    return v / np.linalg.norm(v)
-
-
 def generate_synthetic(spec: CorpusSpec, split: str = "train") -> FeatureCorpus:
     """Build a planted-ambiguity corpus, deterministically from spec.seed.
 
@@ -173,8 +168,9 @@ def generate_synthetic(spec: CorpusSpec, split: str = "train") -> FeatureCorpus:
     proj_video = proj_rng.normal(size=(LATENT_DIM, spec.d_v)) / np.sqrt(LATENT_DIM)
 
     segs = spec.segments_per_video
-    # frame k belongs to segment k*segs // L_v (contiguous blocks)
+    # frame k belongs to segment k*segs // L_v (contiguous blocks), row block_row[k]
     frame_segment = (np.arange(spec.l_v) * segs) // spec.l_v
+    block_row = np.arange(spec.l_v) - np.searchsorted(frame_segment, frame_segment)
     block_max = int(np.max(np.bincount(frame_segment)))
 
     # Every occurrence of a concept replays one canonical noised segment
@@ -194,10 +190,10 @@ def generate_synthetic(spec: CorpusSpec, split: str = "train") -> FeatureCorpus:
                 idx = pool[int(rng.integers(len(pool)))]
             else:
                 idx = len(centers)
-                center = _unit_vector(rng, LATENT_DIM)
+                center = rng.normal(size=LATENT_DIM)
+                centers.append(center / np.linalg.norm(center))
                 texture = spec.noise_scale * rng.uniform(0.2, 1.8)
-                centers.append(center)
-                canon.append(center + texture * rng.normal(size=(block_max, LATENT_DIM)))
+                canon.append(centers[-1] + texture * rng.normal(size=(block_max, LATENT_DIM)))
             pool.append(idx)
             video_concepts[j, s] = idx
     centers = np.asarray(centers)
@@ -206,13 +202,11 @@ def generate_synthetic(spec: CorpusSpec, split: str = "train") -> FeatureCorpus:
     query_segment = rng.integers(segs, size=spec.n_q)
     query_concept = video_concepts[pairing, query_segment]
 
+    # Segments cover each video's frames in order, so one draw in video,
+    # frame order equals one draw per (video, segment) joined end to end.
     jitter = COPY_JITTER * spec.noise_scale
-    video_lat = np.empty((spec.n_v, spec.l_v, LATENT_DIM))
-    for j in range(spec.n_v):
-        for s in range(segs):
-            rows = np.nonzero(frame_segment == s)[0]
-            block = canon[video_concepts[j, s]][: len(rows)]
-            video_lat[j, rows] = block + jitter * rng.normal(size=(len(rows), LATENT_DIM))
+    video_lat = np.stack(canon)[video_concepts[:, frame_segment], block_row]
+    video_lat = video_lat + jitter * rng.normal(size=(spec.n_v, spec.l_v, LATENT_DIM))
 
     # per-query difficulty: a clean and a hard population around the mean
     # level (multimodal difficulty keeps the trained positive-similarity
@@ -227,13 +221,9 @@ def generate_synthetic(spec: CorpusSpec, split: str = "train") -> FeatureCorpus:
     text_features = (text_lat @ proj_text).astype(np.float32)
     video_features = (video_lat @ proj_video).astype(np.float32)
 
-    planted = set()
-    for i in range(spec.n_q):
-        c = query_concept[i]
-        holders = np.nonzero(np.any(video_concepts == c, axis=1))[0]
-        for j in holders:
-            if j != pairing[i]:
-                planted.add((int(i), int(j)))
+    holds = np.any(video_concepts == query_concept[:, None, None], axis=2)
+    holds[np.arange(spec.n_q), pairing] = False
+    planted = set(map(tuple, np.argwhere(holds).tolist()))
 
     corpus = FeatureCorpus(text_features, video_features, pairing,
                            split=split, planted_ambiguity=planted)

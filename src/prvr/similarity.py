@@ -69,11 +69,14 @@ def _unit(x):
     """x over its norm along the last axis, for a Var or an array.
 
     Aborts on a zero row (zero outputs are measure-zero under the init
-    scheme; no epsilon is added so gradient checks stay exact).
+    scheme; no epsilon is added so gradient checks stay exact), and on a
+    non-finite norm, as when a finite row's squares overflow to inf.
     """
     n = ad.sqrt(ad.reduce_sum(ad.mul(x, x), axis=-1, keepdims=True))
     if np.any(ad.val(n) == 0.0):
         raise NumericalError("zero-norm embedding encountered in cosine kernel")
+    if not np.all(np.isfinite(ad.val(n))):
+        raise NumericalError("non-finite embedding norm encountered in cosine kernel")
     return ad.div(x, n)
 
 

@@ -238,7 +238,9 @@ def test_node_unbroadcasts_and_keeps_var_order():
     assert isinstance(v, ad.Var)
     np.testing.assert_array_equal(v.value, out)
     assert [p for p, _ in v.parents] == [b, a]
+    # parents keep their raw vjps; backward sums each result to its
+    # parent's shape (the root passes g down to v)
     g = np.arange(6.0).reshape(2, 3)
-    (_, vjp_b), (_, vjp_a) = v.parents
-    assert vjp_b(g).shape == () and float(vjp_b(g)) == 15.0
-    np.testing.assert_array_equal(vjp_a(g), [[6.0, 10.0, 14.0]])
+    grads = ad.backward(ad.reduce_sum(ad.mul(v, g)))
+    assert grads[id(b)].shape == () and float(grads[id(b)]) == 15.0
+    np.testing.assert_array_equal(grads[id(a)], [[6.0, 10.0, 14.0]])

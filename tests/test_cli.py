@@ -2,7 +2,10 @@
 
 import json
 import os
+import pkgutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -589,6 +592,29 @@ def test_nonfinite_checkpoint_exits_3(tmp_path, spec_file, train_file, capsys, p
                     f"prvr: config-error: text_proj_w.{part}: non-finite value")
 
 
+@pytest.mark.parametrize("command", ("evaluate", "audit"))
+def test_overflowing_embedding_norm_exits_4(tmp_path, spec_file, train_file, capsys, command):
+    # video_proj_w x 1e300 keeps every frame embedding finite but
+    # overflows its norm: the unit frames would be all zeros and the
+    # scores chance, so the run must fail, not report them
+    from prvr.encoder import encode_video
+    from prvr.trainer import checkpoint, resume
+
+    ckpt, corpus_path = _checkpoint_and_corpus(tmp_path, spec_file, train_file)
+    state = resume(ckpt)
+    for branch in (state.theta, state.phi):
+        branch.params.tensors["video_proj_w"] *= 1e300
+    checkpoint(state, ckpt)
+    emb = encode_video(state.theta.params, read_corpus(corpus_path).video_features)
+    assert np.isfinite(emb).all()
+    capsys.readouterr()
+    assert main([command, "--checkpoint", ckpt, "--corpus", corpus_path,
+                 "--out", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("prvr: numerical-error:")
+    assert "non-finite embedding norm" in err[0]
+
+
 @pytest.mark.parametrize("command, kv", (
     ("train", "learning_rate=nan"), ("train", "learning_rate=inf"),
     ("train", "lambda_nce=nan"), ("train", "lambda_nce=inf"), ("train", "margin_m=inf"),
@@ -715,3 +741,19 @@ def test_repeated_or_empty_key_in_config_block_exits_3(tmp_path, spec_file, trai
         resume(ckpt)
     _evaluate_fails(tmp_path, ckpt, corpus_path, capsys,
                     f"prvr: config-error: config block: line:{lineno}: {what}")
+
+
+def test_every_module_imports_on_its_own():
+    # the package re-exports nothing, so no import in __init__ can hide a
+    # cycle that a fresh process importing one module would hit
+    import prvr
+
+    src = os.path.dirname(os.path.dirname(prvr.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    names = [m.name for m in pkgutil.iter_modules(prvr.__path__)]
+    assert len(names) >= 12
+    for name in names:
+        proc = subprocess.run([sys.executable, "-c", f"import prvr.{name}"],
+                              capture_output=True, env=env)
+        assert proc.returncode == 0, f"prvr.{name}: {proc.stderr.decode()}"

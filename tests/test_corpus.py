@@ -1,6 +1,7 @@
 """Synthetic generator contracts and .prvc round trips."""
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -27,6 +28,35 @@ def test_rate_one_single_segment_plants_all_other_videos():
     for i in range(corpus.n_q):
         others = {(i, j) for j in range(3) if j != corpus.pairing[i]}
         assert {(q, v) for q, v in corpus.planted_ambiguity if q == i} == others
+
+
+# sha256 of generate_synthetic's arrays (text, video, pairing, sorted
+# planted pairs) per split, as the per-(video, segment) and per-query
+# loop generator produced them; the generator must keep every byte.
+GENERATOR_DIGESTS = {
+    "accept": ({"n_q": 200, "n_v": 100, "l_q": 6, "l_v": 16, "d_t": 32, "d_v": 32, "seed": 1,
+                "segments_per_video": 4, "ambiguity_rate": 0.3, "noise_scale": 0.35},
+               "4bbaf2d053293d9014ac04d58e29f3152e8d1a7dff870aa3d434b7084b4b6707",
+               "167ea53143728dd3b6c904282c82a97a846cc28560b815e4686559a55d98253c"),
+    "uneven segments": ({"l_v": 7, "segments_per_video": 3},
+                        "1ce61247b10c065013d5c3c886506f4371f11405a9252881d748ed7e4569c3ae",
+                        "8779f9edbc5f16fff2a89b2235bddfd66a59017d040527b8543671a60599c96f"),
+    "noiseless, all reused": ({"noise_scale": 0.0, "ambiguity_rate": 1.0},
+                              "2994297338d59c25697e646464009386999c00071af1616d6a490c03b2b1d31e",
+                              "aed852ed7f9310b763368024719bb7413ee0ab161bc80248fdd373add8d24ff0"),
+}
+
+
+@pytest.mark.parametrize("name", GENERATOR_DIGESTS)
+def test_generator_bytes_are_pinned(name):
+    kw, *digests = GENERATOR_DIGESTS[name]
+    for split, want in zip(("train", "test"), digests):
+        corpus = generate_synthetic(make_spec(**kw), split=split)
+        h = hashlib.sha256()
+        for a in (corpus.text_features, corpus.video_features, corpus.pairing,
+                  np.array(sorted(corpus.planted_ambiguity), dtype=np.int64)):
+            h.update(a.tobytes())
+        assert h.hexdigest() == want, split
 
 
 def test_same_spec_bit_identical():

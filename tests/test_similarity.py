@@ -107,6 +107,24 @@ def test_cosine_pairs_rejects_zero_embedding(side, traced):
         cosine_pairs(q, f)
 
 
+@pytest.mark.parametrize("traced", (False, True))
+@pytest.mark.parametrize("side", ("query", "frame"))
+def test_cosine_pairs_rejects_overflowing_norm(side, traced):
+    # every entry is finite but the squares overflow, so the norm is inf
+    # and the unit row would be all zeros
+    rng = np.random.default_rng(3)
+    q, f = rng.normal(size=(3, 4)), rng.normal(size=(2, 5, 4))
+    if side == "query":
+        q[1] *= 1e300
+    else:
+        f[1, 2] *= 1e300
+    assert np.isfinite(q).all() and np.isfinite(f).all()
+    if traced:
+        q, f = ad.Var(q), ad.Var(f)
+    with pytest.raises(NumericalError, match="non-finite embedding norm"):
+        cosine_pairs(q, f)
+
+
 def test_corpus_map_matches_per_entry_oracle_exactly():
     corpus = make_tiny_corpus()
     dims = EncoderDims(d_t=corpus.d_t, d_v=corpus.d_v, l_q=corpus.l_q,
