@@ -14,11 +14,11 @@ instance values at the pair's best frame. Thresholds are recomputed every
 epoch: tau_s as the mean positive-pair retrieval score, tau_u as the mean
 pair uncertainty over all train pairs.
 
-Training reads the tables (similarity.UncertaintyTables, re-exported
-here) in closed form off similarity.score_corpus (corpus_thresholds).
-The map-form functions compute_uncertainty and compute_thresholds
-average a whole CorpusSimilarityMap directly; they are the definition
-the closed form is tested against.
+Training (corpus_thresholds) and the audit read the tables
+(similarity.UncertaintyTables, re-exported here) in closed form off
+similarity.score_corpus. The map forms compute_uncertainty and
+compute_thresholds, which no CLI path runs, average a whole map array
+directly: the definition the closed form is tested against.
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .similarity import (CorpusSimilarityMap, UncertaintyTables, map_retrieval_scores,
-                         score_corpus)
+from .similarity import UncertaintyTables, map_retrieval_scores, score_corpus
 
 
 @dataclass
@@ -55,12 +54,8 @@ class FrameSets:
 
     @property
     def amb_frames(self):
-        """Per-pair indices of the ambiguous frames, derived from the mask.
-
-        Only perfbench/tracer.py reads it, to count detected frames. It
-        goes with the next benchmark change, once the tracer reads
-        amb_frame_mask (ROADMAP item 8).
-        """
+        """Per-pair ambiguous frame indices; kept because perfbench's tracer
+        counts them, until it reads amb_frame_mask (ROADMAP item 8)."""
         return [np.flatnonzero(row) for row in self.amb_frame_mask]
 
 
@@ -82,9 +77,9 @@ class AmbiguitySets:
         return (~self.pos) & (~self.amb)
 
 
-def compute_uncertainty(sim_map: CorpusSimilarityMap) -> UncertaintyTables:
-    """Average the similarity map into per-query and per-frame tables."""
-    m = sim_map.m
+def compute_uncertainty(m) -> UncertaintyTables:
+    """Average the (N_q, N_v, L_v) map m into per-query and per-frame tables;
+    kept as the definition ACCEPT-04 pins, and perfbench wraps it."""
     return UncertaintyTables(u_q=m.mean(axis=(1, 2)), u_v=m.mean(axis=0))
 
 
@@ -111,10 +106,10 @@ def is_ambiguous(scores, pair_u, thr: Thresholds):
     return (scores > thr.tau_s) & (pair_u > thr.tau_u)
 
 
-def compute_thresholds(sim_map: CorpusSimilarityMap, pairing: np.ndarray,
-                       tables: UncertaintyTables) -> Thresholds:
-    """Per-epoch thresholds from the current map and tables."""
-    scores, best = map_retrieval_scores(sim_map)
+def compute_thresholds(m, pairing: np.ndarray, tables: UncertaintyTables) -> Thresholds:
+    """Per-epoch thresholds from the map m and its tables; kept as the map
+    form ACCEPT-05 checks, and perfbench wraps it."""
+    scores, best = map_retrieval_scores(m)
     return threshold_schedule(scores, pair_uncertainties(tables.u_q, tables.u_v, best),
                               pairing)
 

@@ -30,10 +30,6 @@ class Var:
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 def val(x):
     """Unwrap a Var (or pass a plain array/scalar through)."""

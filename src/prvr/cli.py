@@ -5,6 +5,11 @@ Exit codes: 0 success, 2 usage, 3 config, format, dimension, I/O or
 memory error, 4 numerical abort.
 Every command prints its fully resolved configuration so a run can be
 reproduced from the log alone.
+
+Commands run with numpy's overflow, invalid and divide warnings off, so
+an abort prints only its `prvr:` line. No arithmetic changes: corpus
+validation, similarity._unit's norm checks, train's loss check,
+collect_tape and grad-check's checks still refuse every non-finite value.
 """
 
 import argparse
@@ -13,6 +18,8 @@ import ctypes
 import json
 import os
 import sys
+
+import numpy as np
 
 from .config import (apply_overrides, corpus_spec_from, parse_kv_file,
                      resolved_lines, train_config_from)
@@ -236,7 +243,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return args.func(args)
     except (ConfigError, FormatError) as exc:
         print(f"prvr: config-error: {exc}", file=sys.stderr)
         return 3

@@ -70,7 +70,7 @@ class CorpusSpec:
                 f"l_v ({self.l_v}) must be >= segments_per_video ({self.segments_per_video})")
 
 
-@dataclass
+@dataclass(eq=False)
 class FeatureCorpus:
     """Pre-extracted features plus the pairing map.
 
@@ -130,19 +130,6 @@ class FeatureCorpus:
                     raise ConfigError(f"planted pair {(qi, vj)} out of range")
                 if self.pairing[qi] == vj:
                     raise ConfigError(f"planted pair {(qi, vj)} duplicates a positive pair")
-
-    def __eq__(self, other):
-        if not isinstance(other, FeatureCorpus):
-            return NotImplemented
-        return (
-            self.split == other.split
-            and self.text_features.shape == other.text_features.shape
-            and self.video_features.shape == other.video_features.shape
-            and np.array_equal(self.text_features, other.text_features)
-            and np.array_equal(self.video_features, other.video_features)
-            and np.array_equal(self.pairing, other.pairing)
-            and self.planted_ambiguity == other.planted_ambiguity
-        )
 
 
 def generate_synthetic(spec: CorpusSpec, split: str = "train") -> FeatureCorpus:

@@ -35,11 +35,6 @@ from . import autodiff as ad
 from .ambiguity import AmbiguitySets, FrameSets, batch_slots
 from .config import TrainConfig
 
-__all__ = [
-    "loss_nce_slots", "loss_triplet", "loss_video", "loss_frame", "branch_loss",
-    "loss_warmup", "forced_negative_sets",
-]
-
 
 def _contrast(e_pos, e, amb, neg, axis):
     """log(den) - log(num) per anchor: num keeps the positive plus the
@@ -125,19 +120,6 @@ def _video_level(scores, amb, neg):
             [(idx, [(amb, neg, -1), (amb, neg, -2)])])
 
 
-def loss_nce_slots(scores, sets: AmbiguitySets):
-    """Per-slot contrastive losses of the video level, query over videos
-    and video over queries, as two (*probes, b) arrays."""
-    return tuple(_nce(*_video_level(scores, sets.amb, sets.neg)))
-
-
-def loss_triplet(scores, mask, margin):
-    """Video-level hinge against the hardest member of `mask` (b, b), per
-    query over videos and per video over queries, summed over slots and
-    divided by b (one value per probe)."""
-    return _hinge(*_video_level(scores, mask, mask), 0, margin)
-
-
 def loss_video(scores, sets: AmbiguitySets, cfg: TrainConfig):
     """Combined video-level objective; returns a dict of components."""
     (t2v, v2t), trip_a, trip_n = _objective(*_video_level(scores, sets.amb, sets.neg), cfg)
@@ -193,5 +175,6 @@ def forced_negative_sets(batch) -> AmbiguitySets:
 
 
 def loss_warmup(scores, batch, cfg: TrainConfig):
-    """Warmup objective: the video objective with ambiguity forced empty."""
+    """The video objective with ambiguity forced empty; `train` runs
+    branch_loss, so this stays only for ACCEPT-03 and perfbench's tracer."""
     return loss_video(scores, forced_negative_sets(batch), cfg)

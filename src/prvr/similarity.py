@@ -1,7 +1,8 @@
 """Cosine similarity between queries and video frames, and corpus scoring.
 
-The retrieval score of a (query, video) pair is the maximum frame cosine;
-the dataset-wide map M holds every query x frame cosine.
+The retrieval score of a (query, video) pair is the maximum frame cosine.
+No CLI path builds the map, the (N_q, N_v, L_v) array of every query x
+frame cosine; its two functions stay for the tests and perfbench.
 
 Every cosine that reaches an output is an elementwise multiply +
 pairwise sum over the last axis (`_mul_sum`). numpy's pairwise reduction
@@ -48,13 +49,6 @@ from .errors import NumericalError
 # the widest intermediate of its encode chunks; row and tile counts derive
 # from it.
 _TILE_BYTES = 1 << 20
-
-
-@dataclass
-class CorpusSimilarityMap:
-    """m[x, y, z] = cosine(query x, frame z of video y); perfbench's map hook reads `.m`."""
-
-    m: np.ndarray
 
 
 @dataclass
@@ -193,18 +187,20 @@ def score_corpus(params, corpus):
     return scores, best, tables
 
 
-def build_corpus_map(params, corpus) -> CorpusSimilarityMap:
-    """The whole N_q x N_v x L_v cosine map, for tests and tools.
+def build_corpus_map(params, corpus):
+    """The whole map m, m[x, y, z] = cosine(query x, frame z of video y).
 
-    `_mul_sum` on the unit encodes score_corpus scores: every entry is the
-    pairwise sum that score_corpus returns for a pair's best frame, so
-    reducing the map gives score_corpus's bits.
+    Kept because perfbench wraps it; the wrapper's `.m` hook never fires
+    (no workload builds a map) and goes with ROADMAP item 8. Every entry
+    is the `_mul_sum` that score_corpus returns for a pair's best frame,
+    so reducing the map gives score_corpus's bits.
     """
     qu = _unit_encode(encode_text, params, corpus.text_features)
     fu = _unit_encode(encode_video, params, corpus.video_features)
-    return CorpusSimilarityMap(m=np.stack([_mul_sum(q, fu, np.empty_like(fu), None) for q in qu]))
+    return np.stack([_mul_sum(q, fu, np.empty_like(fu), None) for q in qu])
 
 
-def map_retrieval_scores(sim_map: CorpusSimilarityMap):
-    """Per-pair retrieval scores and best-frame indices from the map."""
-    return ad.reduce_max(sim_map.m, axis=2)
+def map_retrieval_scores(m):
+    """Per-pair retrieval scores and best-frame indices of the map m; kept
+    because perfbench wraps it."""
+    return ad.reduce_max(m, axis=2)

@@ -166,49 +166,49 @@ def train(corpus: FeatureCorpus, cfg: TrainConfig = None, state: DualBranchState
 
         batches = _epoch_batches(corpus.n_q, cfg, epoch)
         for bi, batch_idx in enumerate(batches):
-            pairs = [(int(i), int(corpus.pairing[i])) for i in batch_idx]
+            try:
+                pairs = [(int(i), int(corpus.pairing[i])) for i in batch_idx]
 
-            fwd, detected = [], []
-            for branch, (tables, thr) in zip(branches, epoch_ctx):
-                wrapped = wrap_params(branch.params)
-                frame_sims, scores, best = _forward_batch(wrapped, corpus.text_features,
-                                                         corpus.video_features, pairs)
-                fwd.append((wrapped, frame_sims, scores))
-                if lad_active:
-                    vsets = (detect_video_ambiguity(pairs, ad.val(scores), best, tables, thr)
-                             if cfg.video_lad else forced_negative_sets(pairs))
-                    fsets = (detect_frame_ambiguity(pairs, ad.val(frame_sims), tables, thr)
-                             if cfg.frame_lad else None)
-                else:
-                    vsets, fsets = forced_negative_sets(pairs), None
-                detected.append((vsets, fsets))
+                fwd, detected = [], []
+                for branch, (tables, thr) in zip(branches, epoch_ctx):
+                    wrapped = wrap_params(branch.params)
+                    frame_sims, scores, best = _forward_batch(wrapped, corpus.text_features,
+                                                             corpus.video_features, pairs)
+                    fwd.append((wrapped, frame_sims, scores))
+                    if lad_active:
+                        vsets = (detect_video_ambiguity(pairs, ad.val(scores), best, tables, thr)
+                                 if cfg.video_lad else forced_negative_sets(pairs))
+                        fsets = (detect_frame_ambiguity(pairs, ad.val(frame_sims), tables, thr)
+                                 if cfg.frame_lad else None)
+                    else:
+                        vsets, fsets = forced_negative_sets(pairs), None
+                    detected.append((vsets, fsets))
 
-            for b_i, (branch, (wrapped, frame_sims, scores)) in enumerate(zip(branches, fwd)):
-                use = detected[1 - b_i] if (lad_active and cfg.cross_model) else detected[b_i]
-                try:
+                for b_i, (branch, (wrapped, frame_sims, scores)) in enumerate(zip(branches, fwd)):
+                    use = detected[1 - b_i] if (lad_active and cfg.cross_model) else detected[b_i]
                     total, video, frame = branch_loss(frame_sims, scores, use, cfg)
                     if not np.isfinite(ad.val(total)):
                         raise NumericalError("non-finite training loss")
                     _adam_update(branch, collect_tape(wrapped, total), cfg)
-                except NumericalError as exc:
-                    raise NumericalError(f"{exc} at epoch {epoch} batch {bi}") from exc
 
-                s = sums[b_i]
-                for k, x in zip(_SUM_COLUMNS, map(ad.val, (
-                        video["nce_t2v"], video["nce_v2t"], video["trip_a"], video["trip_n"],
-                        video["total"], frame["total"], total))):
-                    s[k] += float(x)
-                # the loss graph reaches back through the branch's whole forward;
-                # held, it would keep this batch's forward into the next update
-                del total, video, frame
-                own_v, own_f = detected[b_i]
-                b = len(pairs)
-                s["amb_videos"] += float(own_v.amb.sum()) / b
-                s["neg_videos"] += float(own_v.neg.sum()) / b
-                if own_f is not None:
-                    s["amb_frames"] += float(own_f.amb_frame_mask.sum()) / b
-            # held, this batch's graphs would outlive it into the next forwards
-            del fwd, wrapped, frame_sims, scores
+                    s = sums[b_i]
+                    for k, x in zip(_SUM_COLUMNS, map(ad.val, (
+                            video["nce_t2v"], video["nce_v2t"], video["trip_a"], video["trip_n"],
+                            video["total"], frame["total"], total))):
+                        s[k] += float(x)
+                    # the loss graph reaches back through the branch's whole forward;
+                    # held, it would keep this batch's forward into the next update
+                    del total, video, frame
+                    own_v, own_f = detected[b_i]
+                    b = len(pairs)
+                    s["amb_videos"] += float(own_v.amb.sum()) / b
+                    s["neg_videos"] += float(own_v.neg.sum()) / b
+                    if own_f is not None:
+                        s["amb_frames"] += float(own_f.amb_frame_mask.sum()) / b
+                # held, this batch's graphs would outlive it into the next forwards
+                del fwd, wrapped, frame_sims, scores
+            except NumericalError as exc:
+                raise NumericalError(f"{exc} at epoch {epoch} batch {bi}") from exc
 
         for b_i, name in enumerate(("theta", "phi")):
             _, thr = epoch_ctx[b_i]

@@ -22,11 +22,11 @@ from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.encoder import EncoderDims, EncoderParams, encode_text, encode_video
 from prvr.evaluation import audit, evaluate, fused_pair_scores, recall_from_scores
 from prvr.gradcheck import run_suite
-from prvr.losses import (forced_negative_sets, loss_nce_slots, loss_triplet, loss_video,
-                         loss_warmup)
-from prvr.similarity import CorpusSimilarityMap, build_corpus_map
+from prvr.losses import forced_negative_sets, loss_video, loss_warmup
+from prvr.similarity import build_corpus_map
 from prvr.trainer import TrainConfig, train
 
+from tests.helpers import loss_nce_slots, loss_triplet
 from tests.oracles import (brute_force_frame_sets, brute_force_video_sets,
                            direct_uncertainty, exhaustive_recall,
                            reference_single_positive, retrieval_score)
@@ -123,10 +123,10 @@ def test_accept_04_uncertainty_direct_average():
     worst = 0.0
     for n_q, n_v, l_v in ((50, 30, 8), (17, 9, 5), (3, 2, 1)):
         m = rng.uniform(-1, 1, size=(n_q, n_v, l_v))
-        tables = compute_uncertainty(CorpusSimilarityMap(m=m))
+        tables = compute_uncertainty(m)
         u_q, u_v = direct_uncertainty(m)
         worst = max(worst, np.abs(tables.u_q - u_q).max(), np.abs(tables.u_v - u_v).max())
-    const = compute_uncertainty(CorpusSimilarityMap(m=np.full((50, 30, 8), 0.5)))
+    const = compute_uncertainty(np.full((50, 30, 8), 0.5))
     exact = np.all(const.u_q == 0.5) and np.all(const.u_v == 0.5)
     report(4, worst < 1e-12 and exact,
            f"max deviation from direct averaging = {worst:.2e} (tol 1e-12); "
@@ -269,11 +269,15 @@ def test_accept_10_bit_identical_runs(tmp_path):
         "epochs = 4\nbatch_size = 6\nwarmup_epochs = 2\nlearning_rate = 0.002\n"
         "seed = 17\nembed_dim = 12\n")
 
+    # the subprocesses import prvr from the src this test imports, whatever
+    # PYTHONPATH the caller set
+    src = os.path.dirname(os.path.dirname(ad.__file__))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     artifacts = []
     for run in ("a", "b"):
         out_dir = tmp_path / run
         corpus_path = tmp_path / f"{run}.prvc"
-        env = dict(os.environ, PYTHONHASHSEED="0" if run == "a" else "1")
+        env = dict(os.environ, PYTHONHASHSEED="0" if run == "a" else "1", PYTHONPATH=path)
         for args in (
             ["gen-corpus", "--spec", str(spec_file), "--out", str(corpus_path)],
             ["train", "--corpus", str(corpus_path), "--config", str(train_file),

@@ -9,27 +9,23 @@ from prvr.ambiguity import (Thresholds, UncertaintyTables, compute_thresholds,
 from prvr.corpus import CorpusSpec, generate_synthetic
 from prvr.encoder import EncoderDims, EncoderParams
 from prvr.errors import ConfigError
-from prvr.similarity import CorpusSimilarityMap, build_corpus_map, map_retrieval_scores
+from prvr.similarity import build_corpus_map
 
 from tests.oracles import frame_uncertainty
-
-
-def make_map(m):
-    return CorpusSimilarityMap(m=np.asarray(m, dtype=np.float64))
 
 
 # --- uncertainty -------------------------------------------------------
 
 def test_constant_map_returns_constant():
     m = np.full((4, 3, 2), 0.5)
-    t = compute_uncertainty(make_map(m))
+    t = compute_uncertainty(m)
     np.testing.assert_array_equal(t.u_q, np.full(4, 0.5))
     np.testing.assert_array_equal(t.u_v, np.full((3, 2), 0.5))
 
 
 def test_direct_average_example():
     m = np.array([[[0.1], [0.5]]])  # N_q=1, N_v=2, L_v=1
-    t = compute_uncertainty(make_map(m))
+    t = compute_uncertainty(m)
     np.testing.assert_allclose(t.u_q, [0.3])
     np.testing.assert_allclose(t.u_v, [[0.1], [0.5]])
 
@@ -38,15 +34,15 @@ def test_duplicated_queries_leave_video_uncertainty_unchanged():
     rng = np.random.default_rng(0)
     m = rng.uniform(-1, 1, size=(5, 4, 3))
     doubled = np.concatenate([m, m], axis=0)
-    a = compute_uncertainty(make_map(m))
-    b = compute_uncertainty(make_map(doubled))
+    a = compute_uncertainty(m)
+    b = compute_uncertainty(doubled)
     np.testing.assert_allclose(a.u_v, b.u_v, atol=1e-15)
 
 
 def test_uncertainty_matches_loop_oracle():
     rng = np.random.default_rng(1)
     m = rng.uniform(-1, 1, size=(6, 5, 4))
-    t = compute_uncertainty(make_map(m))
+    t = compute_uncertainty(m)
     n_q, n_v, l_v = m.shape
     for x in range(n_q):
         want = sum(m[x, y, z] for y in range(n_v) for z in range(l_v)) / (n_v * l_v)
@@ -79,15 +75,15 @@ def test_tau_s_is_mean_of_positive_scores():
     m[0, 0, 0], m[0, 1, 0] = 0.4, -0.5
     m[1, 1, 0], m[1, 0, 0] = 0.6, -0.1
     pairing = np.array([0, 1])
-    tables = compute_uncertainty(make_map(m))
-    thr = compute_thresholds(make_map(m), pairing, tables)
+    tables = compute_uncertainty(m)
+    thr = compute_thresholds(m, pairing, tables)
     assert thr.tau_s == pytest.approx(0.5)
 
 
 def test_tau_u_constant_case():
     m = np.full((3, 2, 2), 0.25)
-    tables = compute_uncertainty(make_map(m))
-    thr = compute_thresholds(make_map(m), np.array([0, 1, 0]), tables)
+    tables = compute_uncertainty(m)
+    thr = compute_thresholds(m, np.array([0, 1, 0]), tables)
     assert thr.tau_u == pytest.approx(0.25)
 
 
@@ -95,8 +91,8 @@ def test_tau_u_matches_loop_oracle():
     rng = np.random.default_rng(2)
     m = rng.uniform(-1, 1, size=(5, 4, 3))
     pairing = rng.integers(0, 4, size=5)
-    tables = compute_uncertainty(make_map(m))
-    thr = compute_thresholds(make_map(m), pairing, tables)
+    tables = compute_uncertainty(m)
+    thr = compute_thresholds(m, pairing, tables)
     total = 0.0
     for i in range(5):
         for j in range(4):
@@ -123,9 +119,9 @@ def test_thresholds_change_when_params_change():
 
 def test_empty_train_set_rejected():
     m = np.zeros((1, 1, 1))
-    tables = compute_uncertainty(make_map(m))
+    tables = compute_uncertainty(m)
     with pytest.raises(ConfigError):
-        compute_thresholds(make_map(m), np.array([], dtype=np.int64), tables)
+        compute_thresholds(m, np.array([], dtype=np.int64), tables)
 
 
 # --- detection ---------------------------------------------------------

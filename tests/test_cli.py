@@ -6,6 +6,7 @@ import pkgutil
 import struct
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -592,6 +593,17 @@ def test_nonfinite_checkpoint_exits_3(tmp_path, spec_file, train_file, capsys, p
                     f"prvr: config-error: text_proj_w.{part}: non-finite value")
 
 
+def _main_without_warnings(argv):
+    """main(argv)'s exit code, asserting that no warning was issued: a
+    RuntimeWarning would print ahead of the one prvr: line, but pytest's
+    warning capture keeps it out of capsys."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code
+
+
 @pytest.mark.parametrize("command", ("evaluate", "audit"))
 def test_overflowing_embedding_norm_exits_4(tmp_path, spec_file, train_file, capsys, command):
     # video_proj_w x 1e300 keeps every frame embedding finite but
@@ -608,11 +620,32 @@ def test_overflowing_embedding_norm_exits_4(tmp_path, spec_file, train_file, cap
     emb = encode_video(state.theta.params, read_corpus(corpus_path).video_features)
     assert np.isfinite(emb).all()
     capsys.readouterr()
-    assert main([command, "--checkpoint", ckpt, "--corpus", corpus_path,
-                 "--out", str(tmp_path / "out")]) == 4
+    assert _main_without_warnings([command, "--checkpoint", ckpt, "--corpus", corpus_path,
+                                   "--out", str(tmp_path / "out")]) == 4
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("prvr: numerical-error:")
     assert "non-finite embedding norm" in err[0]
+
+
+@pytest.mark.parametrize("command, kv, code, want", (
+    ("gen-corpus", "noise_scale=1e300", 3,
+     "prvr: config-error: text_features contains non-finite values"),
+    ("train", "learning_rate=1e300", 4,
+     "prvr: numerical-error: non-finite embedding norm encountered in cosine kernel "
+     "at epoch 1 batch 1")), ids=("gen-corpus", "train"))
+def test_overflowing_input_prints_one_line(tmp_path, spec_file, train_file, capsys,
+                                           command, kv, code, want):
+    # features or weights overflow float64 before a check refuses them
+    corpus_path = str(tmp_path / "c.prvc")
+    if command == "train":
+        assert main(["gen-corpus", "--spec", spec_file, "--out", corpus_path]) == 0
+        argv = ["train", "--corpus", corpus_path, "--config", train_file,
+                "--out", str(tmp_path / "run")]
+    else:
+        argv = ["gen-corpus", "--spec", spec_file, "--out", corpus_path]
+    capsys.readouterr()
+    assert _main_without_warnings(argv + ["--set", kv]) == code
+    assert capsys.readouterr().err.strip().splitlines() == [want]
 
 
 @pytest.mark.parametrize("command, kv", (

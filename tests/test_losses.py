@@ -10,8 +10,7 @@ from prvr.ambiguity import (AmbiguitySets, FrameSets, Thresholds, UncertaintyTab
                             detect_frame_ambiguity, detect_video_ambiguity)
 from prvr.config import TrainConfig
 from prvr.errors import ConfigError
-from prvr.losses import (branch_loss, forced_negative_sets, loss_frame, loss_nce_slots,
-                         loss_triplet, loss_video, loss_warmup)
+from prvr.losses import branch_loss, forced_negative_sets, loss_frame, loss_video, loss_warmup
 
 
 def sets_from_masks(batch, amb):
@@ -41,6 +40,7 @@ def distinct_batch(b):
     return [(i, i) for i in range(b)]
 
 
+from tests.helpers import loss_nce_slots, loss_triplet
 from tests.oracles import (brute_force_frame_sets, gather_loss_frame, loop_loss_frame,
                            loop_loss_triplet, matrix_loss_video, reference_single_positive)
 

@@ -130,23 +130,23 @@ def test_corpus_map_matches_per_entry_oracle_exactly():
     dims = EncoderDims(d_t=corpus.d_t, d_v=corpus.d_v, l_q=corpus.l_q,
                        l_v=corpus.l_v, d=8)
     params = EncoderParams.initialize(dims, seed=77)
-    sim_map = build_corpus_map(params, corpus)
-    assert sim_map.m.shape == (corpus.n_q, corpus.n_v, corpus.l_v)
+    m = build_corpus_map(params, corpus)
+    assert m.shape == (corpus.n_q, corpus.n_v, corpus.l_v)
     # literal brute-force loop through the public per-instance ops
     for x in range(corpus.n_q):
         q = encode_text(params, corpus.text_features[x])
         for y in range(corpus.n_v):
             v = encode_video(params, corpus.video_features[y])
             for z in range(corpus.l_v):
-                assert sim_map.m[x, y, z] == cosine_rows(q, v[z]), (x, y, z)
+                assert m[x, y, z] == cosine_rows(q, v[z]), (x, y, z)
 
 
 def test_corpus_map_deterministic_and_bounded():
     corpus = make_tiny_corpus(n_q=4, n_v=3)
     dims = EncoderDims(corpus.d_t, corpus.d_v, corpus.l_q, corpus.l_v, 8)
     params = EncoderParams.initialize(dims, seed=1)
-    m1 = build_corpus_map(params, corpus).m
-    m2 = build_corpus_map(params, corpus).m
+    m1 = build_corpus_map(params, corpus)
+    m2 = build_corpus_map(params, corpus)
     np.testing.assert_array_equal(m1, m2)
     assert np.all(m1 <= 1.0) and np.all(m1 >= -1.0)
 

@@ -415,6 +415,15 @@ def test_nonfinite_loss_in_train_names_epoch_and_batch(monkeypatch, loss_name, e
         train(make_corpus(), make_cfg())
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_numerical_error_in_forward_names_epoch_and_batch():
+    # learning_rate=1e300: batch 0's update leaves weights whose embedding
+    # norms overflow, so batch 1's forward aborts in the cosine kernel
+    with pytest.raises(NumericalError, match="^non-finite embedding norm encountered in cosine "
+                                             "kernel at epoch 1 batch 1$"):
+        train(make_corpus(), make_cfg(learning_rate=1e300))
+
+
 # --- checkpoint config block ------------------------------------------------
 
 _NONDEFAULT_CFG = TrainConfig(
