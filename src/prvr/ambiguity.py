@@ -16,7 +16,9 @@ pair uncertainty over all train pairs.
 
 Training (corpus_thresholds) and the audit read the tables
 (similarity.UncertaintyTables, re-exported here) in closed form off
-similarity.score_corpus. The map forms compute_uncertainty and
+similarity's tile walker: training through similarity.best_frames, which
+reads only every pair's best frame and the positive scores, and the
+audit through similarity.score_corpus. The map forms compute_uncertainty and
 compute_thresholds, which no CLI path runs, average a whole map array
 directly: the definition the closed form is tested against.
 """
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .similarity import UncertaintyTables, map_retrieval_scores, score_corpus
+from .similarity import UncertaintyTables, best_frames, map_retrieval_scores
 
 
 @dataclass
@@ -91,13 +93,13 @@ def pair_uncertainties(u_q, u_v, best):
     return u
 
 
-def threshold_schedule(scores, pair_u, pairing) -> Thresholds:
-    """The per-epoch thresholds: tau_s the mean positive-pair score, tau_u
-    the mean of the (N_q, N_v) pair uncertainties `pair_u`."""
-    if len(pairing) == 0:
+def threshold_schedule(positives, pair_u) -> Thresholds:
+    """The per-epoch thresholds: tau_s the mean of the N_q positive-pair
+    scores `positives`, tau_u the mean of the (N_q, N_v) pair
+    uncertainties `pair_u`."""
+    if len(positives) == 0:
         raise ConfigError("cannot compute thresholds on an empty train set")
-    tau_s = float(scores[np.arange(scores.shape[0]), pairing].mean())
-    return Thresholds(tau_s=tau_s, tau_u=float(pair_u.mean()))
+    return Thresholds(tau_s=float(positives.mean()), tau_u=float(pair_u.mean()))
 
 
 def is_ambiguous(scores, pair_u, thr: Thresholds):
@@ -110,20 +112,22 @@ def compute_thresholds(m, pairing: np.ndarray, tables: UncertaintyTables) -> Thr
     """Per-epoch thresholds from the map m and its tables; kept as the map
     form ACCEPT-05 checks, and perfbench wraps it."""
     scores, best = map_retrieval_scores(m)
-    return threshold_schedule(scores, pair_uncertainties(tables.u_q, tables.u_v, best),
-                              pairing)
+    return threshold_schedule(scores[np.arange(len(pairing)), pairing],
+                              pair_uncertainties(tables.u_q, tables.u_v, best))
 
 
 def corpus_thresholds(params, corpus):
     """One branch's per-epoch (UncertaintyTables, Thresholds), streamed.
 
-    Matches compute_uncertainty and compute_thresholds on build_corpus_map's
-    map without holding it: tau_s bitwise, the tables and tau_u up to the
+    Reads only what the thresholds need (similarity.best_frames): every
+    pair's best frame and the N_q positive scores. Matches
+    compute_uncertainty and compute_thresholds on build_corpus_map's map
+    without holding it: tau_s bitwise, the tables and tau_u up to the
     closed form's rounding.
     """
-    scores, best, tables = score_corpus(params, corpus)
-    return tables, threshold_schedule(scores, pair_uncertainties(tables.u_q, tables.u_v, best),
-                                      corpus.pairing)
+    best, positives, tables = best_frames(params, corpus)
+    return tables, threshold_schedule(positives,
+                                      pair_uncertainties(tables.u_q, tables.u_v, best))
 
 
 def batch_slots(batch):

@@ -134,6 +134,16 @@ def cmd_evaluate(args):
     return 0
 
 
+def _write_pairs(fh, pairs, n_v):
+    """Write the row-major (K, 2) detected pairs as csv.writer's
+    `ambiguous_pair,x,j,` rows, one string per query row."""
+    suffixes = np.array([f"{j},\r\n" for j in range(n_v)], dtype=object)
+    rows, starts = np.unique(pairs[:, 0], return_index=True)
+    for x, js in zip(rows.tolist(), np.split(pairs[:, 1], starts[1:])):
+        pre = f"ambiguous_pair,{x},"
+        fh.write(pre + pre.join(suffixes[js]))
+
+
 def cmd_audit(args):
     _check_out_file(args.out)
     state, corpus = _load_for_scoring(args)
@@ -157,12 +167,8 @@ def cmd_audit(args):
                                  repr(float(edges[b + 1])), repr(float(h_pos[b]))])
                 writer.writerow([f"hist_{metric}_unpaired", repr(float(edges[b])),
                                  repr(float(edges[b + 1])), repr(float(h_unp[b]))])
-        # Python ints a block at a time, never a list of every pair
-        pairs = report.detected_pairs
-        for x0 in range(0, len(pairs), 4096):
-            writer.writerows(["ambiguous_pair", qi, vj, ""]
-                             for qi, vj in pairs[x0:x0 + 4096].tolist())
-    print(f"wrote {args.out}: f1={report.f1:.4f} detected={len(pairs)}")
+        _write_pairs(fh, report.detected_pairs, corpus.n_v)
+    print(f"wrote {args.out}: f1={report.f1:.4f} detected={len(report.detected_pairs)}")
     return 0
 
 

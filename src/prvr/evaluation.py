@@ -1,11 +1,15 @@
 """Retrieval metrics, fused dual-branch scoring, and training-set audits.
 
-Ranking fuses the two branches by averaging their retrieval scores. The
-audit rescores similarity/uncertainty over the train set from the final
-parameters, splits both by positive vs unpaired pairs, and (for corpora
-with planted ground truth) grades the detected ambiguous pairs. Both
-stream over query chunks (similarity.score_corpus), so neither holds the
-N_q x N_v x L_v map.
+Ranking fuses the two branches by averaging their retrieval scores.
+`evaluate` needs only each query's rank of its paired video: it ranks
+off each pair's fused GEMM max over frames (similarity.gemm_maxes) and
+scores exactly only the paired videos and the pairs within the GEMM
+tolerance of them, so its ranks equal recall_from_scores's on the exact
+fused scores. The audit rescores similarity/uncertainty of every train
+pair from the final parameters (similarity.score_corpus), splits both by
+positive vs unpaired pairs, and (for corpora with planted ground truth)
+grades the detected ambiguous pairs. Both walk (query, video) tiles, so
+neither holds the N_q x N_v x L_v map.
 """
 
 from dataclasses import dataclass
@@ -15,7 +19,7 @@ import numpy as np
 from .ambiguity import is_ambiguous, pair_uncertainties, threshold_schedule
 from .corpus import FeatureCorpus
 from .errors import ConfigError
-from .similarity import score_corpus
+from .similarity import exact_scores, gemm_maxes, gemm_tol, score_corpus
 from .trainer import DualBranchState
 
 RECALL_KS = (1, 5, 10, 100)
@@ -50,43 +54,75 @@ class AuditReport:
     planted_count: int = 0
 
 
-def _branch_scores(params, corpus: FeatureCorpus, uncertainty: bool):
-    """One branch's (scores, pair uncertainties or None), each (N_q, N_v)."""
+def _branch_scores(params, corpus: FeatureCorpus):
+    """One branch's (scores, pair uncertainties), each (N_q, N_v)."""
     scores, best, tables = score_corpus(params, corpus)
-    return scores, (pair_uncertainties(tables.u_q, tables.u_v, best) if uncertainty else None)
+    return scores, pair_uncertainties(tables.u_q, tables.u_v, best)
 
 
-def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus, uncertainty: bool = True):
-    """Fused scores and fused pair uncertainties, (N_q, N_v) each.
-
-    Without uncertainty the second item is None and no (N_q, N_v) pair
-    uncertainties are built.
-    """
-    (s_t, u_t), (s_p, u_p) = (_branch_scores(b.params, corpus, uncertainty)
+def fused_pair_scores(state: DualBranchState, corpus: FeatureCorpus):
+    """Fused scores and fused pair uncertainties, (N_q, N_v) each."""
+    (s_t, u_t), (s_p, u_p) = (_branch_scores(b.params, corpus)
                               for b in (state.theta, state.phi))
-    return (s_t + s_p) / 2.0, ((u_t + u_p) / 2.0 if uncertainty else None)
+    return (s_t + s_p) / 2.0, (u_t + u_p) / 2.0
 
 
-def _ranks(scores, pairing):
-    """1-based rank of each query's paired video: the videos scoring
-    strictly higher, plus ties at a lower index."""
-    n_q, n_v = scores.shape
-    s_pos = scores[np.arange(n_q), pairing][:, None]
-    ahead = (scores > s_pos) | ((scores == s_pos) & (np.arange(n_v) < pairing[:, None]))
-    return 1 + np.count_nonzero(ahead, axis=1)
-
-
-def recall_from_scores(scores, pairing) -> RecallReport:
-    """Recall@K/SumR of a (N_q, N_v) score matrix, ties to lower index."""
-    ranks = _ranks(np.asarray(scores, dtype=np.float64), np.asarray(pairing))
+def _recall(ranks) -> RecallReport:
     r_at = {k: float((ranks <= k).mean()) for k in RECALL_KS}
     return RecallReport(r_at=r_at, sum_r=100.0 * sum(r_at.values()))
 
 
+def _ahead(s, y, s_pos, paired):
+    """Whether video y, scoring s, ranks ahead of the paired video, scoring
+    s_pos: a strictly higher score, or an equal one at a lower index."""
+    return (s > s_pos) | ((s == s_pos) & (y < paired))
+
+
+def recall_from_scores(scores, pairing) -> RecallReport:
+    """Recall@K/SumR of a (N_q, N_v) score matrix; a query's rank is 1 plus
+    the videos _ahead of its paired one."""
+    scores, pairing = np.asarray(scores, dtype=np.float64), np.asarray(pairing)
+    n_q, n_v = scores.shape
+    ahead = _ahead(scores, np.arange(n_v), scores[np.arange(n_q), pairing][:, None],
+                   pairing[:, None])
+    return _recall(1 + np.count_nonzero(ahead, axis=1))
+
+
 def evaluate(state: DualBranchState, corpus: FeatureCorpus) -> RecallReport:
-    """Recall@K and SumR of the fused scorer over the given corpus."""
-    fused, _ = fused_pair_scores(state, corpus, uncertainty=False)
-    return recall_from_scores(fused, corpus.pairing)
+    """Recall@K and SumR of the fused scorer over the given corpus, with
+    recall_from_scores's ranks, from each pair's fused GEMM max.
+
+    Each branch's GEMM max lies within 2 * gamma_d ~ d * eps of its exact
+    score, inside gemm_tol(d) / 2 (similarity.gemm_tol), and fusing adds
+    at most eps. So a fused GEMM max more than tol above (below) the
+    exact fused positive puts the video strictly ahead of (behind) the
+    paired one. Only the pairs within tol are rescored exactly, in both
+    branches, and compared as recall_from_scores does. No (N_q, N_v)
+    exact scores or pair uncertainties are built.
+    """
+    pairing = np.asarray(corpus.pairing)
+    branches = [gemm_maxes(b.params, corpus) for b in (state.theta, state.phi)]
+    (_, _, diff), (_, _, g_p) = branches
+    n_q, d = branches[0][0].shape
+
+    def fused(x, y):
+        """Exact fused scores of the pairs (x[k], y[k])."""
+        s_t, s_p = (exact_scores(qu, fu, x, y) for qu, fu, _ in branches)
+        return (s_t + s_p) / 2.0
+
+    xs = np.arange(n_q)
+    s_pos = fused(xs, pairing)
+    # diff: fused GEMM max minus the exact fused positive, in place
+    diff += g_p
+    diff /= 2.0
+    diff -= s_pos[:, None]
+    tol = gemm_tol(d)
+    near = np.abs(diff) <= tol
+    near[xs, pairing] = False
+    x, y = np.nonzero(near)
+    ahead = _ahead(fused(x, y), y, s_pos[x], pairing[x])
+    ranks = 1 + np.count_nonzero(diff > tol, axis=1) + np.bincount(x[ahead], minlength=n_q)
+    return _recall(ranks)
 
 
 def grade_detection(detected_mask, planted):
@@ -136,7 +172,7 @@ def audit(state: DualBranchState, corpus: FeatureCorpus) -> AuditReport:
     pos[np.arange(n_q), corpus.pairing] = True
     unp = ~pos
 
-    thr = threshold_schedule(fused_s, fused_u, corpus.pairing)
+    thr = threshold_schedule(fused_s[pos], fused_u)
     detected_mask = unp & is_ambiguous(fused_s, fused_u, thr)
 
     planted = corpus.planted_ambiguity

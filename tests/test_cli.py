@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from prvr.cli import main
+from prvr.cli import _write_pairs, main
 from prvr.corpus import read_corpus
 
 CORPUS_SPEC = """
@@ -790,3 +790,19 @@ def test_every_module_imports_on_its_own():
         proc = subprocess.run([sys.executable, "-c", f"import prvr.{name}"],
                               capture_output=True, env=env)
         assert proc.returncode == 0, f"prvr.{name}: {proc.stderr.decode()}"
+
+
+@pytest.mark.parametrize("pairs", (
+    [], [[1, 3]], [[0, 0]], [[3, 4]], [[0, 1], [2, 0], [2, 1], [2, 2], [2, 3], [2, 4], [3, 4]]),
+    ids=("none", "one", "index 0", "last query and video", "a query with every video"))
+def test_detected_pairs_writer_matches_csv_writer(pairs):
+    # audit.csv's pair rows, written a query row at a time, have the bytes
+    # csv.writer gives the rows one by one (4 queries x 5 videos)
+    import csv
+    import io
+
+    pairs = np.array(pairs, dtype=np.intp).reshape(-1, 2)
+    got, want = io.StringIO(newline=""), io.StringIO(newline="")
+    _write_pairs(got, pairs, 5)
+    csv.writer(want).writerows(["ambiguous_pair", x, j, ""] for x, j in pairs.tolist())
+    assert got.getvalue() == want.getvalue()

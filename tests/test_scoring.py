@@ -1,13 +1,15 @@
 """Streamed corpus scoring and the cosine kernel against the oracles.
 
-similarity.score_corpus encodes in chunks and walks (query, video) tiles,
-picking candidate frames with one GEMM per tile. Both are sized by the one
-byte budget _TILE_BYTES, which is patched here to reach every chunk and
-tile edge. Scores, best frames (exact ties and near-ties included), map
-cosines, tau_s and detected pairs match the oracle at tolerance 0; the
-closed-form uncertainty tables, and what is computed from them, within
-U_TOL. The training kernel, one GEMM that the budget does not reach,
-matches the oracle within the GEMM rounding bound.
+similarity's tile walker encodes in chunks and walks (query, video) tiles,
+one GEMM per tile; its three consumers are score_corpus (the audit),
+best_frames (the per-epoch thresholds) and gemm_maxes (evaluate's ranks).
+Chunks and tiles are sized by the one byte budget _TILE_BYTES, which is
+patched here to reach every chunk and tile edge. Scores, best frames
+(exact ties and near-ties included), map cosines, tau_s, ranks and
+detected pairs match the oracle at tolerance 0; the closed-form
+uncertainty tables, and what is computed from them, within U_TOL. The
+training kernel, one GEMM that the budget does not reach, matches the
+oracle within the GEMM rounding bound.
 """
 
 import tracemalloc
@@ -19,11 +21,11 @@ import pytest
 from prvr import autodiff as ad
 from prvr import encoder, similarity
 from prvr.ambiguity import compute_thresholds, compute_uncertainty, corpus_thresholds
-from prvr.corpus import CorpusSpec, generate_synthetic
+from prvr.corpus import CorpusSpec, FeatureCorpus, generate_synthetic
 from prvr.errors import NumericalError
-from prvr.evaluation import audit, fused_pair_scores
-from prvr.similarity import (build_corpus_map, cosine_pairs, map_retrieval_scores,
-                             score_corpus)
+from prvr.evaluation import audit, evaluate, fused_pair_scores, recall_from_scores
+from prvr.similarity import (best_frames, build_corpus_map, cosine_pairs, exact_scores,
+                             gemm_maxes, gemm_tol, map_retrieval_scores, score_corpus)
 from prvr.trainer import TrainConfig, init_state
 
 from tests.oracles import cosine_rows, map_branch_scores, map_corpus_scores, map_thresholds
@@ -58,12 +60,12 @@ def assert_close(got, want):
 
 
 # The byte budget from one (query, video) pair's bytes L_v * d * 8 and
-# N_v. The corpora have N_q = 37 and d = 8. score_corpus's tiles take
+# N_v. The corpora have N_q = 37 and d = 8. The walker's tiles take
 # (L_v + d) * 8 bytes a pair and its encode chunks L * max(d, d_in, L) * 8
-# bytes a row: budget 1 gives 1 x 1 tiles (a GEMV) and one-row encode
-# chunks; 3, 4 and 2 * N_v pairs ragged query tiles and ragged query
-# chunks; 4 * N_v pairs tiles ragged in queries and in videos. 2^30 gives
-# one tile and one chunk.
+# bytes a row: budget 1 gives 1 x 1 tiles (a GEMV), one-row encode chunks
+# and one-pair rescore blocks; 3, 4 and 2 * N_v pairs ragged query tiles
+# and ragged query chunks; 4 * N_v pairs tiles ragged in queries and in
+# videos. 2^30 gives one tile, one chunk and one rescore block.
 SIZES = {
     "one-row chunks": lambda pair, n_v: 1,
     "ragged last chunk": lambda pair, n_v: 3 * pair,
@@ -146,6 +148,15 @@ def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
     assert_close(got_tables.u_q, u_q)
     assert_close(got_tables.u_v, u_v)
 
+    # the thresholds' pass reads best frames and the positive scores only;
+    # with ties every pair is still rescored, and so is every positive
+    if tied:
+        rescored.clear()
+    frames_best, positives, _ = best_frames(params, corpus)
+    assert_bitwise(frames_best, best)
+    assert_bitwise(positives, scores[np.arange(corpus.n_q), corpus.pairing])
+    if tied:
+        assert sum(rescored) == corpus.n_q * corpus.n_v + corpus.n_q
     tau_s, tau_u = map_thresholds(scores, best, u_q, u_v, corpus.pairing)
     tables, thr = corpus_thresholds(params, corpus)
     assert thr.tau_s == tau_s and abs(thr.tau_u - tau_u) <= U_TOL
@@ -163,9 +174,81 @@ def test_streamed_scoring_matches_map_oracle(monkeypatch, sizes, shape):
     assert_bitwise(map_tables.u_v, u_v)
     map_thr = compute_thresholds(sim_map, corpus.pairing, map_tables)
     assert (map_thr.tau_s, map_thr.tau_u) == (tau_s, tau_u)
+    assert thr.tau_s == map_thr.tau_s and abs(thr.tau_u - map_thr.tau_u) <= U_TOL
 
 
-@pytest.mark.parametrize("d", (1, 2, 7, 8, 9, 48, 64))
+def copy_videos(corpus, copies):
+    """The corpus with video b's features replaced by video a's, for each
+    (a, b) in copies: an exact fused tie between the two videos for every
+    query, since the encoders work row by row."""
+    video = corpus.video_features.copy()
+    for a, b in copies:
+        video[b] = video[a]
+    return FeatureCorpus(corpus.text_features, video, corpus.pairing, split=corpus.split,
+                         planted_ambiguity=corpus.planted_ambiguity)
+
+
+def shift_copies(monkeypatch, copies):
+    """Move each copy's unit frames by a few ulps, where the walker looks
+    the encodes up: fused scores then differ by a few eps, inside the
+    GEMM's rounding, and may tie or not."""
+    unit_encode = similarity._unit_encode
+
+    def shifted(encode, params, features):
+        out = unit_encode(encode, params, features)
+        if out.ndim == 3:
+            for _, b in copies:
+                ulps = np.arange(out[b].size).reshape(out[b].shape) % 7 - 3
+                out[b] += ulps * np.spacing(out[b])
+        return out
+    monkeypatch.setattr(similarity, "_unit_encode", shifted)
+
+
+# video 2 is copied before it (ties go to the copy) and video 3 after it
+COPIES = ((2, 0), (3, 5))
+
+
+@pytest.mark.parametrize("copies", ("distinct", "exact copies", "near copies"))
+@pytest.mark.parametrize("sizes", SIZES)
+def test_rank_pass_matches_recall_from_exact_fused_scores(monkeypatch, sizes, copies):
+    corpus = make_corpus(n_v=6, ambiguity_rate=0.5)
+    state = make_state(corpus)
+    patch_sizes(monkeypatch, sizes, state, corpus)
+    if copies != "distinct":
+        corpus = copy_videos(corpus, COPIES)
+        if copies == "near copies":
+            shift_copies(monkeypatch, COPIES)
+
+    fused, _ = fused_pair_scores(state, corpus)
+    want = recall_from_scores(fused, corpus.pairing)
+    rescored = count_rescored(monkeypatch)
+    got = evaluate(state, corpus)
+    assert got.r_at == want.r_at and got.sum_r == want.sum_r
+    # every branch scores the N_q positives exactly, and then the near
+    # pairs, which include every query's pair with the twin of its video
+    twinned = np.isin(corpus.pairing, COPIES).sum()
+    assert sum(rescored) >= 2 * corpus.n_q
+    if copies != "distinct":
+        assert twinned and sum(rescored) - 2 * corpus.n_q >= 2 * twinned
+    if copies == "exact copies":
+        assert (fused[:, 0] == fused[:, 2]).all() and (fused[:, 3] == fused[:, 5]).all()
+
+
+def fixed_embeddings(monkeypatch, emb_q, emb_v):
+    """(params, corpus) whose encodes are the given embeddings: the
+    corpus's features are row indices into them, and params carries only
+    the width that sizes the encode chunks."""
+    monkeypatch.setattr(similarity, "encode_text", lambda params, rows: emb_q[rows[:, 0, 0]])
+    monkeypatch.setattr(similarity, "encode_video", lambda params, rows: emb_v[rows[:, 0, 0]])
+    corpus = SimpleNamespace(text_features=np.arange(len(emb_q)).reshape(-1, 1, 1),
+                             video_features=np.arange(len(emb_v)).reshape(-1, 1, 1))
+    return SimpleNamespace(dims=SimpleNamespace(d=emb_q.shape[-1])), corpus
+
+
+D_WIDTHS = (1, 2, 7, 8, 9, 48, 64)
+
+
+@pytest.mark.parametrize("d", D_WIDTHS)
 def test_gemm_error_stays_inside_half_the_candidate_tolerance(d):
     # score_corpus's tol = 4 (d + 2) eps assumes a GEMM dot and a pairwise
     # sum of unit vectors differ by at most 2 gamma_d ~ d eps, half of tol
@@ -175,24 +258,40 @@ def test_gemm_error_stays_inside_half_the_candidate_tolerance(d):
     pairwise = (q[:, None, :] * f).sum(axis=-1)
     tol = 4 * (d + 2) * np.finfo(np.float64).eps
     gemv = np.stack([f @ row for row in q])
+    assert tol == gemm_tol(d)
     for gemm in ((f @ q.T).T, q @ f.T, gemv):
         assert np.abs(gemm - pairwise).max() < tol / 2
 
 
+@pytest.mark.parametrize("d", D_WIDTHS)
+def test_fused_gemm_max_stays_inside_half_the_candidate_tolerance(monkeypatch, d):
+    # evaluate decides a pair off its fused GEMM max only beyond gemm_tol
+    # of the exact fused positive, which needs this bound; exact_scores
+    # has score_corpus's bits
+    rng = np.random.default_rng(d)
+    n_q, n_v, l_v = 40, 8, 8
+    xs, ys = np.divmod(np.arange(n_q * n_v), n_v)
+    gemm, exact = [], []
+    for _ in range(2):
+        params, corpus = fixed_embeddings(monkeypatch, rng.normal(size=(n_q, d)),
+                                          rng.normal(size=(n_v, l_v, d)))
+        qu, fu, gmax = gemm_maxes(params, corpus)
+        gemm.append(gmax.ravel())
+        exact.append(exact_scores(qu, fu, xs, ys))
+        assert_bitwise(exact[-1], score_corpus(params, corpus)[0].ravel())
+    fused_gemm, fused_exact = (gemm[0] + gemm[1]) / 2.0, (exact[0] + exact[1]) / 2.0
+    assert np.abs(fused_gemm - fused_exact).max() < gemm_tol(d) / 2
+
+
 def test_scoring_working_set_stays_within_two_tile_budgets(monkeypatch):
-    # ACCEPT shapes with precomputed embeddings, so only scoring allocates;
-    # the corpus's features are row indices into them, and params carries
-    # only the width that sizes the encode chunks
+    # ACCEPT shapes with precomputed embeddings, so only scoring allocates
     n_q, n_v, l_v, d = 200, 100, 16, 48
     rng = np.random.default_rng(8)
     emb_q, emb_v = rng.normal(size=(n_q, d)), rng.normal(size=(n_v, l_v, d))
-    monkeypatch.setattr(similarity, "encode_text", lambda params, rows: emb_q[rows[:, 0, 0]])
-    monkeypatch.setattr(similarity, "encode_video", lambda params, rows: emb_v[rows[:, 0, 0]])
-    corpus = SimpleNamespace(text_features=np.arange(n_q).reshape(n_q, 1, 1),
-                             video_features=np.arange(n_v).reshape(n_v, 1, 1))
+    params, corpus = fixed_embeddings(monkeypatch, emb_q, emb_v)
     tracemalloc.start()
     try:
-        scores, best, _ = score_corpus(SimpleNamespace(dims=SimpleNamespace(d=d)), corpus)
+        scores, best, _ = score_corpus(params, corpus)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -206,8 +305,8 @@ def test_scoring_working_set_stays_within_two_tile_budgets(monkeypatch):
 def test_unit_encode_peak_stays_within_a_few_tile_budgets(monkeypatch, side):
     # encode chunks are sized by their widest float64 intermediate, about
     # _TILE_BYTES; one chunk's encoder holds about eight intermediates that
-    # wide, and the chunks' list and their concatenation hold the output
-    # twice. Chunks sized by float32 feature bytes took 15-23 budgets more.
+    # wide, and each chunk is written into the one preallocated output.
+    # Chunks sized by float32 feature bytes took 15-23 budgets more.
     monkeypatch.setattr(similarity, "_TILE_BYTES", 1 << 16)
     corpus = generate_synthetic(CorpusSpec(n_q=200, n_v=100, l_q=6, l_v=16, d_t=32, d_v=32,
                                            seed=1, segments_per_video=4, ambiguity_rate=0.3,
@@ -221,7 +320,7 @@ def test_unit_encode_peak_stays_within_a_few_tile_budgets(monkeypatch, side):
     finally:
         tracemalloc.stop()
     assert out.shape[0] == len(features)
-    assert peak - 2 * out.nbytes < 10 * similarity._TILE_BYTES, (peak, out.nbytes)
+    assert peak - out.nbytes < 10 * similarity._TILE_BYTES, (peak, out.nbytes)
 
 
 @pytest.mark.parametrize("sizes", ("one-row chunks", "ragged video tiles"))
@@ -235,9 +334,6 @@ def test_fused_scores_and_audit_match_map_oracle(monkeypatch, sizes):
     fused_s, fused_u = fused_pair_scores(state, corpus)
     assert_bitwise(fused_s, want_s)
     assert_close(fused_u, want_u)
-    scores_only, none = fused_pair_scores(state, corpus, uncertainty=False)
-    assert_bitwise(scores_only, want_s)
-    assert none is None
 
     rep = audit(state, corpus)
     pos = np.zeros(want_s.shape, dtype=bool)
@@ -274,7 +370,8 @@ def test_scoring_memory_stays_below_the_map():
     corpus = make_corpus(n_q=n_q, n_v=n_v, l_v=l_v, seed=4)
     state = make_state(corpus, seed=3)
     map_bytes = n_q * n_v * l_v * 8
-    for run in (lambda: fused_pair_scores(state, corpus), lambda: audit(state, corpus)):
+    for run in (lambda: fused_pair_scores(state, corpus), lambda: audit(state, corpus),
+                lambda: evaluate(state, corpus)):
         tracemalloc.start()
         try:
             run()
